@@ -84,6 +84,25 @@ func BenchmarkEnginePointLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineUpdateByPK measures a keyed UPDATE on a 20k-row table:
+// the WHERE pins the primary key, so the statement reads one candidate
+// row through the PK access path instead of scanning the table.
+func BenchmarkEngineUpdateByPK(b *testing.B) {
+	const rows = 20000
+	db := benchDB(b, rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Exec(fmt.Sprintf("UPDATE Talk SET nb_attendees = %d WHERE title = 'talk-%04d'", i, i%rows))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Affected != 1 {
+			b.Fatalf("affected %d rows, want 1", res.Affected)
+		}
+	}
+}
+
 func BenchmarkEngineScanFilter(b *testing.B) {
 	db := benchDB(b, 1000)
 	b.ReportAllocs()

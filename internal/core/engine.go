@@ -693,21 +693,42 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (*Res
 	return &Result{Affected: inserted}, nil
 }
 
-func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Result, error) {
-	t, ok := e.cat.Table(s.Table)
+// dmlCandidates resolves an UPDATE/DELETE target and fetches, at the
+// current watermark, a superset of the rows its WHERE matches: through the
+// primary key or a secondary index when a conjunct pins one to a literal
+// (the access path SELECT uses), else by a full scan. Every column the
+// WHERE names is resolved up front, so an unknown column fails the
+// statement however few rows the access path fetches. Callers evaluate
+// the full WHERE on each candidate.
+func (e *Engine) dmlCandidates(table string, where parser.Expr) (*catalog.Table, []plan.Col, []storage.RowID, []storage.Row, error) {
+	t, ok := e.cat.Table(table)
 	if !ok {
-		return nil, fmt.Errorf("core: table %s not found", s.Table)
+		return nil, nil, nil, nil, fmt.Errorf("core: table %s not found", table)
 	}
-	scan := plan.NewScan(t, "")
-	schema := scan.Schema()
-	for _, a := range s.Set {
-		if t.ColumnIndex(a.Column) < 0 {
-			return nil, fmt.Errorf("core: column %s.%s not found", s.Table, a.Column)
+	schema := plan.NewScan(t, "").Schema()
+	var colErr error
+	parser.WalkExprs(where, func(x parser.Expr) {
+		if cr, ok := x.(*parser.ColumnRef); ok && colErr == nil {
+			_, colErr = plan.FindCol(schema, cr.Table, cr.Name)
 		}
+	})
+	if colErr != nil {
+		return nil, nil, nil, nil, colErr
 	}
-	ids, rows, err := e.store.ScanRows(t.Name)
+	ids, rows, err := exec.FetchCandidates(e.store, e.cat, t, optimizer.ProbeKeys(where), e.store.VisibleTS())
+	return t, schema, ids, rows, err
+}
+
+func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Result, error) {
+	t, schema, ids, rows, err := e.dmlCandidates(s.Table, s.Where)
 	if err != nil {
 		return nil, err
+	}
+	setIdx := make([]int, len(s.Set))
+	for i, a := range s.Set {
+		if setIdx[i] = t.ColumnIndex(a.Column); setIdx[i] < 0 {
+			return nil, fmt.Errorf("core: column %s.%s not found", s.Table, a.Column)
+		}
 	}
 	// One transaction per statement: all matched rows flip to the new
 	// version together from any new snapshot's point of view.
@@ -715,7 +736,6 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 	defer e.commitTraced(tx, tr, sp)
 	affected := 0
 	for i, row := range rows {
-		id := ids[i]
 		match, err := exec.RowMatches(s.Where, row, schema)
 		if err != nil {
 			return nil, err
@@ -724,8 +744,8 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 			continue
 		}
 		updated := row.Clone()
-		for _, a := range s.Set {
-			ci := t.ColumnIndex(a.Column)
+		for j, a := range s.Set {
+			ci := setIdx[j]
 			v, err := exec.EvalRow(a.Value, updated, schema)
 			if err != nil {
 				return nil, err
@@ -741,7 +761,7 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 			}
 			updated[ci] = cv
 		}
-		if err := tx.Update(t.Name, id, updated); err != nil {
+		if err := tx.Update(t.Name, ids[i], updated); err != nil {
 			return nil, err
 		}
 		affected++
@@ -750,13 +770,7 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 }
 
 func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (*Result, error) {
-	t, ok := e.cat.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("core: table %s not found", s.Table)
-	}
-	scan := plan.NewScan(t, "")
-	schema := scan.Schema()
-	ids, rows, err := e.store.ScanRows(t.Name)
+	t, schema, ids, rows, err := e.dmlCandidates(s.Table, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -766,7 +780,6 @@ func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (*Res
 	defer e.commitTraced(tx, tr, sp)
 	affected := 0
 	for i, row := range rows {
-		id := ids[i]
 		match, err := exec.RowMatches(s.Where, row, schema)
 		if err != nil {
 			return nil, err
@@ -779,7 +792,7 @@ func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (*Res
 				t.AdjustCNull(c.Name, -1)
 			}
 		}
-		if err := tx.Delete(t.Name, id); err != nil {
+		if err := tx.Delete(t.Name, ids[i]); err != nil {
 			return nil, err
 		}
 		t.AddRowCount(-1)

@@ -28,8 +28,8 @@ func build(n plan.Node, ctx *Ctx) (Operator, error) {
 		if ctx.Tasks != nil && (x.Table.Crowd || len(x.AskColumns) > 0) {
 			return &crowdProbeScan{node: x}, nil
 		}
-		if is := accessPath(ctx, x); is != nil {
-			return is, nil
+		if p, ok := chooseAccessPath(ctx.Cat, x.Table, x.ProbeKeys); ok {
+			return &indexScan{node: x, path: p}, nil
 		}
 		return &seqScan{node: x}, nil
 

@@ -125,3 +125,70 @@ func TestSeqScanFallbackWithoutIndex(t *testing.T) {
 		t.Errorf("no index on grp: full scan expected, got %d", st.RowsScanned)
 	}
 }
+
+// TestAccessPathShapes pins which WHERE shapes reach an index (no full
+// scan) — for SELECT and keyed UPDATE/DELETE alike — and which must fall
+// back to a scan because an OR, a range, or a mixed-kind equality could
+// match rows the probed key misses.
+func TestAccessPathShapes(t *testing.T) {
+	h := newHarness(t)
+	h.createTable(t, &catalog.Table{
+		Name: "t",
+		Columns: []catalog.Column{
+			{Name: "k", Type: sqltypes.TypeInt, PrimaryKey: true},
+			{Name: "a", Type: sqltypes.TypeInt},
+			{Name: "b", Type: sqltypes.TypeString},
+		},
+	})
+	for _, col := range []string{"a", "b"} {
+		if err := h.cat.CreateIndex(&catalog.Index{Name: "t_" + col, Table: "t", Columns: []string{col}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, _ := h.cat.Table("t")
+	cases := []struct {
+		where string
+		path  bool
+	}{
+		{"k = 7", true},
+		{"7 = k", true},
+		{"k = '7'", true},
+		{"k = 7.0", true},
+		{"k = 7.5", true},
+		{"k = NULL", true},
+		{"k = 7 AND a > 3", true},
+		{"a = 2", true},
+		{"b = 'x'", true},
+		{"k = 7 OR a = 2", false},
+		{"k = TRUE", false},
+		{"b = 7", false},
+		{"a > 2", false},
+	}
+	for _, c := range cases {
+		where, err := parser.ParseExpr(c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := chooseAccessPath(h.cat, tab, optimizer.ProbeKeys(where)); ok != c.path {
+			t.Errorf("WHERE %s: access path %v, want %v", c.where, ok, c.path)
+		}
+	}
+}
+
+// TestIndexScanMixedKindEquality checks that equalities the evaluator
+// satisfies through implicit conversion find every row: a boolean against
+// an INTEGER key and a number against a STRING key are not index probes.
+func TestIndexScanMixedKindEquality(t *testing.T) {
+	h := bigTable(t)
+	if rows, _ := h.runWithStats(t, "SELECT id FROM item WHERE id = TRUE"); len(rows) != 499 {
+		t.Errorf("id = TRUE matched %d rows, want every non-zero id (499)", len(rows))
+	}
+	h.createTable(t, &catalog.Table{
+		Name:    "code",
+		Columns: []catalog.Column{{Name: "c", Type: sqltypes.TypeString, PrimaryKey: true}},
+	})
+	h.insert(t, "code", Row{str("7")}, Row{str("07")}, Row{str("x")})
+	if rows, _ := h.runWithStats(t, "SELECT c FROM code WHERE c = 7"); len(rows) != 2 {
+		t.Errorf("c = 7 matched %v, want '7' and '07'", rows)
+	}
+}

@@ -305,17 +305,32 @@ func coveredBy(e parser.Expr, schema []plan.Col) bool {
 // bindings the boundedness analysis accepts.
 func (o *optimizer) deriveProbeKeys(n plan.Node) {
 	if s, ok := n.(*plan.Scan); ok {
-		if s.Filter != nil {
-			for _, conj := range splitConjuncts(s.Filter) {
-				if col, val, ok := equalityBinding(conj); ok {
-					s.ProbeKeys[strings.ToLower(col)] = val
-				}
-			}
-		}
+		addProbeKeys(s.ProbeKeys, s.Filter)
 		return
 	}
 	for _, c := range n.Children() {
 		o.deriveProbeKeys(c)
+	}
+}
+
+// ProbeKeys returns the `col = literal` bindings among a single-table
+// filter's top-level conjuncts, keyed by lower-cased column name (nil
+// filter: none). Scans and keyed UPDATE/DELETE choose their index access
+// path from them.
+func ProbeKeys(filter parser.Expr) map[string]sqltypes.Value {
+	keys := map[string]sqltypes.Value{}
+	addProbeKeys(keys, filter)
+	return keys
+}
+
+func addProbeKeys(keys map[string]sqltypes.Value, filter parser.Expr) {
+	if filter == nil {
+		return
+	}
+	for _, conj := range splitConjuncts(filter) {
+		if col, val, ok := equalityBinding(conj); ok {
+			keys[strings.ToLower(col)] = val
+		}
 	}
 }
 

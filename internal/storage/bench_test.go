@@ -114,3 +114,29 @@ func BenchmarkLookupPK(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStoreGCAfterUpdate measures one keyed update followed by a GC
+// sweep on a 20k-row table: the sweep visits only the chains with history
+// (here the one just superseded), not every row of every shard.
+func BenchmarkStoreGCAfterUpdate(b *testing.B) {
+	const rows = 20000
+	for _, shards := range []int{1, 8} {
+		s := benchStore(b, shards, rows)
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pk := fmt.Sprintf("k%07d", i%rows)
+				id, ok := s.LookupPK("t", sqltypes.NewString(pk))
+				if !ok {
+					b.Fatal("lookup miss")
+				}
+				if err := s.Update("t", id, kvRow(pk, int64(i))); err != nil {
+					b.Fatal(err)
+				}
+				if n := s.GC(); n != 1 {
+					b.Fatalf("GC reclaimed %d versions, want 1", n)
+				}
+			}
+		})
+	}
+}

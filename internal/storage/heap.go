@@ -68,12 +68,19 @@ func (c *versionChain) at(ts int64) (Row, bool) {
 // are never reused, so the WAL can refer to rows by ID across the table's
 // lifetime; nextID here only tracks the high water mark for recovery.
 type heap struct {
-	rows   map[RowID]*versionChain
-	nextID RowID
-	live   int // chains whose latest version is live
+	rows map[RowID]*versionChain
+	// history holds the IDs of chains that carry a superseded or dead
+	// version — the only chains GC can reclaim anything from. supersede
+	// adds to it; GC removes a chain once it is back to one live version
+	// or gone, and recovery's replaceAt/hardDelete remove it outright.
+	history map[RowID]struct{}
+	nextID  RowID
+	live    int // chains whose latest version is live
 }
 
-func newHeap() *heap { return &heap{rows: make(map[RowID]*versionChain), nextID: 1} }
+func newHeap() *heap {
+	return &heap{rows: make(map[RowID]*versionChain), history: make(map[RowID]struct{}), nextID: 1}
+}
 
 // insertVersion appends a live version beginning at ts under a
 // caller-allocated (or replayed) ID. The chain may already exist with a
@@ -125,6 +132,7 @@ func (h *heap) supersede(id RowID, ts int64) (Row, bool) {
 	}
 	v.end = ts
 	h.live--
+	h.history[id] = struct{}{}
 	return v.row, true
 }
 
@@ -137,6 +145,7 @@ func (h *heap) replaceAt(id RowID, r Row, ts int64) {
 		}
 	}
 	h.rows[id] = &versionChain{versions: []rowVersion{{row: r, begin: ts, end: tsInfinity}}}
+	delete(h.history, id)
 	h.live++
 	if id >= h.nextID {
 		h.nextID = id + 1
@@ -153,15 +162,18 @@ func (h *heap) hardDelete(id RowID) bool {
 		h.live--
 	}
 	delete(h.rows, id)
+	delete(h.history, id)
 	return true
 }
 
 func (h *heap) count() int { return h.live }
 
 // retainedCount reports superseded versions still held for old snapshots.
+// Only chains in the history set can hold one.
 func (h *heap) retainedCount() int {
 	n := 0
-	for _, c := range h.rows {
+	for id := range h.history {
+		c := h.rows[id]
 		n += len(c.versions)
 		if _, ok := c.live(); ok {
 			n--
@@ -193,20 +205,4 @@ func (h *heap) scanIDsAt(ts int64) []RowID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// gcChain prunes one chain's versions whose end is at or below horizon —
-// invisible to every live and future snapshot. Returns the versions
-// reclaimed and whether the whole chain (row) is gone.
-func (c *versionChain) gcChain(horizon int64) (pruned int, dead bool) {
-	keep := c.versions[:0]
-	for _, v := range c.versions {
-		if v.end <= horizon {
-			pruned++
-			continue
-		}
-		keep = append(keep, v)
-	}
-	c.versions = keep
-	return pruned, len(keep) == 0
 }

@@ -37,7 +37,7 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.retained.Load()) })
 	reg.GaugeFunc("crowddb_mvcc_live_rows",
 		"visible row versions across all tables",
-		func() float64 { live, _ := s.VersionStats(); return float64(live) })
+		func() float64 { return float64(s.liveRows()) })
 	reg.CounterFunc("crowddb_mvcc_gc_runs_total",
 		"MVCC garbage-collection sweeps",
 		func() float64 { runs, _ := s.GCStats(); return float64(runs) })

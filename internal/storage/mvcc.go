@@ -18,7 +18,8 @@ package storage
 // Superseded versions are retained until no live snapshot (and no future
 // one) can reach them, then reclaimed by GC — triggered when the last
 // snapshot releases, when the retained backlog crosses a threshold at
-// commit, or explicitly via Store.GC.
+// commit, or explicitly via Store.GC. Each shard's heap tracks which
+// chains carry history, so a sweep visits only those rows.
 
 import "sync"
 
@@ -140,9 +141,11 @@ func (s *Store) gcHorizon() int64 {
 	return horizon
 }
 
-// GC sweeps every table shard, pruning row versions no live or future
-// snapshot can see and dropping the index entries that pointed only at
-// them. Returns the number of versions reclaimed. Safe to call
+// GC prunes row versions no live or future snapshot can see and drops
+// the index entries that pointed only at them. It visits only the chains
+// in each shard's history set (rows updated or deleted since their last
+// collapse), so its cost scales with the superseded rows, not with the
+// table. Returns the number of versions reclaimed. Safe to call
 // concurrently with readers and writers; each shard is swept under its
 // own write lock.
 func (s *Store) GC() int {
@@ -169,10 +172,8 @@ func (ts *tableStore) gc(horizon int64) int {
 	total := 0
 	for _, sh := range ts.shards {
 		sh.mu.Lock()
-		for id, c := range sh.heap.rows {
-			if v := c.latest(); len(c.versions) == 1 && v.end == tsInfinity {
-				continue // the common case: a live row with no history
-			}
+		for id := range sh.heap.history {
+			c := sh.heap.rows[id]
 			var drop, keep []rowVersion
 			for _, v := range c.versions {
 				if v.end <= horizon {
@@ -192,9 +193,13 @@ func (ts *tableStore) gc(horizon int64) int {
 			}
 			c.versions = append(c.versions[:0:0], keep...)
 			total += len(drop)
-			if len(keep) == 0 {
+			switch {
+			case len(keep) == 0:
 				delete(sh.heap.rows, id)
+				delete(sh.heap.history, id)
 				delete(sh.rowLSN, id)
+			case len(keep) == 1 && keep[0].end == tsInfinity:
+				delete(sh.heap.history, id) // back to one live version
 			}
 		}
 		sh.mu.Unlock()
@@ -221,16 +226,32 @@ func dropIndexKeys(tree *BTree, cols []int, drop, keep []rowVersion, id RowID) {
 
 // VersionStats reports the store-wide number of live rows and of
 // superseded versions still retained for snapshots (test/observability).
+// The retained count walks only the chains that carry history.
 func (s *Store) VersionStats() (live, retained int) {
+	s.eachShard(func(sh *tableShard) {
+		live += sh.heap.count()
+		retained += sh.heap.retainedCount()
+	})
+	return live, retained
+}
+
+// liveRows sums the live-row counters of every shard of every table: O(1)
+// per shard, cheap enough for every metrics scrape.
+func (s *Store) liveRows() int {
+	live := 0
+	s.eachShard(func(sh *tableShard) { live += sh.heap.count() })
+	return live
+}
+
+// eachShard calls fn on every shard of every table under its read lock.
+func (s *Store) eachShard(fn func(*tableShard)) {
 	for _, ts := range s.tableMap() {
 		for _, sh := range ts.shards {
 			sh.mu.RLock()
-			live += sh.heap.count()
-			retained += sh.heap.retainedCount()
+			fn(sh)
 			sh.mu.RUnlock()
 		}
 	}
-	return live, retained
 }
 
 // mvccState is the clock/registry block embedded in Store.
