@@ -7,6 +7,8 @@ package crowddb
 // results. A few engine micro-benchmarks follow.
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"crowddb/internal/bench"
@@ -136,6 +138,71 @@ func BenchmarkBatchPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchFactDB loads a 50k-row fact table (the analytical shape: a
+// primary key, a 20-value dimension, an amount and a quantity) through
+// multi-row INSERTs, from a fixed seed.
+func benchFactDB(b *testing.B) *DB {
+	b.Helper()
+	const rows, perStmt = 50000, 500
+	db, err := Open(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	if _, err := db.Exec("CREATE TABLE fact (id INTEGER PRIMARY KEY, dim INTEGER, amount INTEGER, qty INTEGER, tag STRING)"); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var sb strings.Builder
+	for lo := 0; lo < rows; lo += perStmt {
+		sb.Reset()
+		sb.WriteString("INSERT INTO fact VALUES ")
+		for i := lo; i < lo+perStmt; i++ {
+			if i > lo {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d, %d, %d, 'tag-%02d')", i, rng.Intn(20), rng.Intn(3000), rng.Intn(10), i%50)
+		}
+		if _, err := db.Exec(sb.String()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
+}
+
+// benchQuery runs one query per iteration and checks its row count.
+func benchQuery(b *testing.B, db *DB, sql string, wantRows int) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Query(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if wantRows >= 0 && len(res.Rows) != wantRows {
+			b.Fatalf("%d rows, want %d", len(res.Rows), wantRows)
+		}
+	}
+}
+
+// BenchmarkScanFilter50k scans 50k rows and keeps about a third: the
+// storage snapshot, the pushed filter and the projection.
+func BenchmarkScanFilter50k(b *testing.B) {
+	benchQuery(b, benchFactDB(b), "SELECT id, amount FROM fact WHERE amount >= 1000 AND amount < 2000", -1)
+}
+
+// BenchmarkTopK50k orders about 47.5k rows under a LIMIT 10: the sort
+// keeps only ten.
+func BenchmarkTopK50k(b *testing.B) {
+	benchQuery(b, benchFactDB(b), "SELECT id, amount FROM fact WHERE dim <> 3 ORDER BY amount DESC, id LIMIT 10", 10)
+}
+
+// BenchmarkGroupBy50k folds about 40k rows into 20 groups.
+func BenchmarkGroupBy50k(b *testing.B) {
+	benchQuery(b, benchFactDB(b), "SELECT dim, COUNT(*), SUM(qty) FROM fact WHERE qty >= 2 GROUP BY dim", 20)
 }
 
 func BenchmarkEngineInsert(b *testing.B) {

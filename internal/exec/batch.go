@@ -16,8 +16,9 @@ const DefaultBatchSize = 256
 
 // Batch is one unit of row flow between operators. The Rows slice (the
 // header) is owned by the producing operator and reused across NextBatch
-// calls; the Row values inside are owned by the consumer once returned
-// and stay valid after the next call.
+// calls; the Row values inside may be retained by the consumer and stay
+// valid after the next call, but are read-only: they may be the store's
+// shared version images (see the row-ownership rule in operators.go).
 type Batch struct {
 	Rows []Row
 }

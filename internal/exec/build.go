@@ -62,12 +62,20 @@ func build(n plan.Node, ctx *Ctx) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sortOp{node: x, input: in}, nil
+		return &sortOp{node: x, input: in, limit: -1}, nil
 
 	case *plan.Limit:
 		in, err := Build(x.Input, ctx)
 		if err != nil {
 			return nil, err
+		}
+		// A bounded LIMIT directly over a plain sort needs only the
+		// sort's first N+OFFSET rows: tell the sort, so it keeps that
+		// many instead of ordering its whole input.
+		if s, ok := unwrapInstrumented(in).(*sortOp); ok && x.N >= 0 && x.Offset >= 0 {
+			if k := x.N + x.Offset; k >= x.N {
+				s.limit = k
+			}
 		}
 		return &limitOp{node: x, input: in}, nil
 

@@ -1089,7 +1089,9 @@ func andExpr(a, b parser.Expr) parser.Expr {
 
 // probeCNulls sends batched HIT groups for every buffered row whose asked
 // crowd columns hold CNULL, coerces the majority answers, writes them back
-// to the row AND the store (memorization), and updates statistics. The
+// to the row AND the store (memorization), and updates statistics. A
+// filled row is a private copy that replaces rows[i]: the slice's rows
+// start out as the store's shared version images, which stay untouched. The
 // request batch is split into up to MaxInFlight probe groups that are all
 // submitted before any is collected, so their crowd waits overlap. Rows
 // whose answers miss quorum are re-posted once (the operators' built-in
@@ -1202,6 +1204,11 @@ func probeCNullsOnce(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.Row
 				v, err := sqltypes.NewString(strings.TrimSpace(d.Value)).Coerce(t.Columns[ci].Type)
 				if err != nil {
 					continue // untypable answer: stays CNULL
+				}
+				if !changed {
+					// rows[i] is the store's shared version image: fill a
+					// private copy, never the image other readers hold.
+					rows[i] = rows[i].Clone()
 				}
 				rows[i][ci] = v
 				changed = true

@@ -75,6 +75,15 @@ func instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
 	return &instrumentedOp{op: op, node: n}
 }
 
+// unwrapInstrumented returns the operator inside an instrumented shell,
+// or op itself.
+func unwrapInstrumented(op Operator) Operator {
+	if o, ok := op.(*instrumentedOp); ok {
+		return o.op
+	}
+	return op
+}
+
 type instrumentedOp struct {
 	op      Operator
 	node    plan.Node

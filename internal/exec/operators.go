@@ -20,6 +20,16 @@
 //	               reports feedback (observed selectivities) to the
 //	               catalog. Close must be called even after an error.
 //
+// Row ownership: a Row is read-only from the moment an operator hands it
+// over. Scans, index lookups and the DML candidate fetch return the
+// store's committed version images themselves, shared with the store and
+// every concurrent reader, not copies (see storage.Store.GetAt). An
+// operator that needs a different row builds a new one — projection,
+// join output, aggregate output — and code that must edit a row in place
+// clones it first, as CrowdProbe does before writing a crowd answer into
+// a CNULL. TestReadPathsLeaveStoredImagesUntouched (internal/core)
+// fingerprints every stored image around each read path to enforce this.
+//
 // Batch sizing is per-statement (Ctx.BatchSize, DefaultBatchSize when
 // unset). Operators reuse one batch buffer across NextBatch calls, so a
 // steady-state pipeline allocates no per-batch memory.
@@ -48,7 +58,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -111,8 +121,8 @@ func (s *seqScan) Open(ctx *Ctx) error {
 	}
 	if s.node.StopAfter >= 0 {
 		// The scan may stop far short of the table: fetch IDs only and
-		// materialize rows lazily so a filled quota costs O(quota), not
-		// O(table) clones.
+		// look rows up lazily so a filled quota costs O(quota) lookups,
+		// not a snapshot of the whole table.
 		ids, err := ctx.Store.ScanAt(s.node.Table.Name, ctx.snapTS())
 		if err != nil {
 			return err
@@ -426,6 +436,7 @@ type filterOp struct {
 	crowd   bool
 	stream  *equalStream // crowd mode: quorum-streaming CROWDEQUAL state
 	stopped bool
+	ec      evalCtx // bound at Open; ec.row changes per row
 	buf     Batch
 }
 
@@ -436,6 +447,7 @@ func (f *filterOp) Open(ctx *Ctx) error {
 		return err
 	}
 	f.stream, f.stopped = nil, false
+	f.ec = evalCtx{schema: f.Schema(), crowdEqual: cachedEqualResolver(ctx), exec: ctx}
 	if !f.crowd {
 		return nil
 	}
@@ -452,8 +464,10 @@ func (f *filterOp) Open(ctx *Ctx) error {
 	// exact: a row failing Pre fails Cond regardless of crowd verdicts.
 	if f.node.Pre != nil {
 		kept := buffered[:0]
+		pre := evalCtx{schema: f.ec.schema, exec: ctx}
 		for _, r := range buffered {
-			v, err := eval(f.node.Pre, &evalCtx{schema: f.Schema(), row: r, exec: ctx})
+			pre.row = r
+			v, err := eval(f.node.Pre, &pre)
 			if err != nil {
 				return err
 			}
@@ -463,7 +477,7 @@ func (f *filterOp) Open(ctx *Ctx) error {
 		}
 		buffered = kept
 	}
-	stream, err := newEqualStream(ctx, f.node.Cond, buffered, f.Schema())
+	stream, err := newEqualStream(ctx, f.node.Cond, buffered, f.ec.schema)
 	if err != nil {
 		return err
 	}
@@ -493,7 +507,8 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		}
 		f.buf.reset()
 		for _, r := range b.Rows {
-			v, err := eval(f.node.Cond, &evalCtx{schema: f.Schema(), row: r, crowdEqual: cachedEqualResolver(ctx), exec: ctx})
+			f.ec.row = r
+			v, err := eval(f.node.Cond, &f.ec)
 			if err != nil {
 				return nil, err
 			}
@@ -523,10 +538,17 @@ func (f *filterOp) bufferedRows() int64 {
 
 // rowMatches evaluates a (crowd-free) predicate to a keep/drop decision.
 func rowMatches(filter parser.Expr, row Row, schema []plan.Col) (bool, error) {
+	return matchRow(filter, &evalCtx{schema: schema}, row)
+}
+
+// matchRow is rowMatches over a caller-bound evaluation context, for
+// operators that resolve their schema once per Open.
+func matchRow(filter parser.Expr, ec *evalCtx, row Row) (bool, error) {
 	if filter == nil {
 		return true, nil
 	}
-	v, err := eval(filter, &evalCtx{schema: schema, row: row})
+	ec.row = row
+	v, err := eval(filter, ec)
 	if err != nil {
 		return false, err
 	}
@@ -540,12 +562,19 @@ func rowMatches(filter parser.Expr, row Row, schema []plan.Col) (bool, error) {
 type projectOp struct {
 	node  *plan.Project
 	input Operator
+	ec    evalCtx // bound at Open; ec.row changes per row
 	buf   Batch
 }
 
 func (p *projectOp) Schema() []plan.Col { return p.node.Schema() }
 
-func (p *projectOp) Open(ctx *Ctx) error { return p.input.Open(ctx) }
+func (p *projectOp) Open(ctx *Ctx) error {
+	if err := p.input.Open(ctx); err != nil {
+		return err
+	}
+	p.ec = evalCtx{schema: p.input.Schema(), crowdEqual: cachedEqualResolver(ctx), exec: ctx}
+	return nil
+}
 
 func (p *projectOp) StopEarly() { stopEarly(p.input) }
 
@@ -558,11 +587,16 @@ func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		return nil, nil
 	}
 	p.buf.reset()
-	for _, r := range b.Rows {
-		out := make(Row, len(p.node.Items))
-		ectx := &evalCtx{schema: p.input.Schema(), row: r, crowdEqual: cachedEqualResolver(ctx), exec: ctx}
+	// One value slab per batch; each output row is a capacity-capped
+	// window into it, so a consumer that appends to a row cannot spill
+	// into its neighbour.
+	w := len(p.node.Items)
+	slab := make([]sqltypes.Value, len(b.Rows)*w)
+	for ri, r := range b.Rows {
+		out := Row(slab[ri*w : (ri+1)*w : (ri+1)*w])
+		p.ec.row = r
 		for i, it := range p.node.Items {
-			v, err := eval(it.Expr, ectx)
+			v, err := eval(it.Expr, &p.ec)
 			if err != nil {
 				return nil, err
 			}
@@ -591,6 +625,8 @@ type nlJoin struct {
 	cur       Row
 	rpos      int
 	matched   bool
+	on        evalCtx // over the combined schema, bound at Open
+	scratch   Row     // candidate pair under test
 	buf       Batch
 }
 
@@ -609,6 +645,7 @@ func (j *nlJoin) Open(ctx *Ctx) error {
 	}
 	j.rightRows = rows
 	j.leftBatch, j.lpos, j.cur, j.rpos, j.matched = nil, 0, nil, 0, false
+	j.on = evalCtx{schema: j.node.Schema()}
 	return nil
 }
 
@@ -643,8 +680,7 @@ func (j *nlJoin) next(ctx *Ctx) (Row, error) {
 		for j.rpos < len(j.rightRows) {
 			r := j.rightRows[j.rpos]
 			j.rpos++
-			combined := append(append(Row{}, j.cur...), r...)
-			ok, err := rowMatches(j.node.On, combined, j.Schema())
+			combined, ok, err := joinRow(j.node.On, &j.on, &j.scratch, j.cur, r)
 			if err != nil {
 				return nil, err
 			}
@@ -655,9 +691,10 @@ func (j *nlJoin) next(ctx *Ctx) (Row, error) {
 		}
 		// Right side exhausted for this left row.
 		if j.node.Type == parser.JoinLeft && !j.matched {
-			out := append(Row{}, j.cur...)
-			for range j.right.Schema() {
-				out = append(out, sqltypes.Null())
+			out := make(Row, len(j.on.schema))
+			copy(out, j.cur)
+			for i := len(j.cur); i < len(out); i++ {
+				out[i] = sqltypes.Null()
 			}
 			j.cur = nil
 			return out, nil
@@ -712,6 +749,12 @@ type hashJoin struct {
 	bkt   []Row
 	bpos  int
 
+	// Evaluation contexts bound at Open: the left and right key inputs
+	// and the residual over the combined schema.
+	lkey, rkey, res evalCtx
+	scratch         Row    // candidate pair under test
+	key             []byte // join key, rebuilt in place per row
+
 	leftBatch *Batch
 	lpos      int
 	buf       Batch
@@ -743,6 +786,9 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 	}
 	j.table = make(map[string][]Row, j.buildSizeHint())
 	j.built = 0
+	j.lkey = evalCtx{schema: j.left.Schema()}
+	j.rkey = evalCtx{schema: j.right.Schema()}
+	j.res = evalCtx{schema: j.node.Schema()}
 	for {
 		b, err := j.right.NextBatch(ctx)
 		if err != nil {
@@ -752,15 +798,16 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 			break
 		}
 		for _, r := range b.Rows {
-			v, err := eval(j.rightKey, &evalCtx{schema: j.right.Schema(), row: r})
+			j.rkey.row = r
+			v, err := eval(j.rightKey, &j.rkey)
 			if err != nil {
 				return err
 			}
 			if v.IsUnknown() {
 				continue // unknown keys never join
 			}
-			k := storage.IndexKey(v)
-			j.table[k] = append(j.table[k], r)
+			j.key = storage.AppendIndexKey(j.key[:0], v)
+			j.table[string(j.key)] = append(j.table[string(j.key)], r)
 			j.built++
 		}
 	}
@@ -791,8 +838,7 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 		for j.bpos < len(j.bkt) {
 			r := j.bkt[j.bpos]
 			j.bpos++
-			combined := append(append(Row{}, j.cur...), r...)
-			ok, err := rowMatches(j.residual, combined, j.Schema())
+			combined, ok, err := joinRow(j.residual, &j.res, &j.scratch, j.cur, r)
 			if err != nil {
 				return nil, err
 			}
@@ -804,7 +850,8 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 		if err != nil || l == nil {
 			return nil, err
 		}
-		v, err := eval(j.leftKey, &evalCtx{schema: j.left.Schema(), row: l})
+		j.lkey.row = l
+		v, err := eval(j.leftKey, &j.lkey)
 		if err != nil {
 			return nil, err
 		}
@@ -812,7 +859,8 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 			continue
 		}
 		j.cur = l
-		j.bkt = j.table[storage.IndexKey(v)]
+		j.key = storage.AppendIndexKey(j.key[:0], v)
+		j.bkt = j.table[string(j.key)]
 		j.bpos = 0
 	}
 }
@@ -845,12 +893,30 @@ func (j *hashJoin) Close(ctx *Ctx) error {
 
 func (j *hashJoin) bufferedRows() int64 { return j.built }
 
+// joinRow tests the pair (l, r) against cond (nil accepts every pair)
+// and returns the joined row (left columns, then right) when it passes.
+// The candidate is assembled in the operator's scratch row, so a rejected
+// pair allocates nothing and a kept one costs exactly one allocation.
+func joinRow(cond parser.Expr, ec *evalCtx, scratch *Row, l, r Row) (Row, bool, error) {
+	*scratch = append(append((*scratch)[:0], l...), r...)
+	ok, err := matchRow(cond, ec, *scratch)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	return slices.Clone(*scratch), true, nil
+}
+
 // ---------------------------------------------------------------------------
 // Sort (plain and crowd-backed)
 
 type sortOp struct {
 	node  *plan.Sort
 	input Operator
+	// limit bounds the output to the first limit rows of the sorted
+	// order when ≥ 0: Build sets it to N+OFFSET when a LIMIT sits
+	// directly on this sort, and the plain path then keeps only that many
+	// rows instead of sorting its whole input. -1 means unbounded.
+	limit int64
 
 	rows    []Row
 	sorter  *crowdSorter // non-nil while a CROWDORDER sort is streaming
@@ -865,11 +931,6 @@ func (s *sortOp) Open(ctx *Ctx) error {
 		return err
 	}
 	s.rows, s.sorter, s.emitted = nil, nil, 0
-	rows, err := drainInput(ctx, s.input, nil)
-	if err != nil {
-		return err
-	}
-	s.rows = rows
 	// Split keys: a CROWDORDER key delegates to the crowd sort; other keys
 	// sort conventionally. A crowd key must be the only key.
 	for _, k := range s.node.Keys {
@@ -877,6 +938,11 @@ func (s *sortOp) Open(ctx *Ctx) error {
 			if len(s.node.Keys) != 1 {
 				return fmt.Errorf("exec: CROWDORDER cannot be combined with other sort keys")
 			}
+			rows, err := drainInput(ctx, s.input, nil)
+			if err != nil {
+				return err
+			}
+			s.rows = rows
 			sorter, err := newCrowdSorter(ctx, s.rows, s.Schema(), k)
 			if err != nil {
 				return err
@@ -899,6 +965,9 @@ func (s *sortOp) Open(ctx *Ctx) error {
 			return nil
 		}
 	}
+	if s.limit >= 0 {
+		return s.topK(ctx)
+	}
 	return s.plainSort(ctx)
 }
 
@@ -908,38 +977,157 @@ func reverseRows(rows []Row) {
 	}
 }
 
-func (s *sortOp) plainSort(ctx *Ctx) error {
-	type keyed struct {
-		row  Row
-		keys []sqltypes.Value
-	}
-	ks := make([]keyed, len(s.rows))
-	for i, r := range s.rows {
-		ks[i] = keyed{row: r, keys: make([]sqltypes.Value, len(s.node.Keys))}
-		for ki, k := range s.node.Keys {
-			v, err := eval(k.Expr, &evalCtx{schema: s.Schema(), row: r})
-			if err != nil {
-				return err
-			}
-			ks[i].keys[ki] = v
+// sortEntry is one row with its evaluated sort keys and its input
+// position, the tie-breaker that makes the order stable.
+type sortEntry struct {
+	row  Row
+	keys []sqltypes.Value
+	seq  int
+}
+
+// sortKeys evaluates the sort keys of one row into dst.
+type sortKeys struct {
+	keys []parser.OrderItem
+	ec   evalCtx
+}
+
+func (k *sortKeys) eval(r Row, dst []sqltypes.Value) error {
+	k.ec.row = r
+	for i, key := range k.keys {
+		v, err := eval(key.Expr, &k.ec)
+		if err != nil {
+			return err
 		}
-	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		for ki, k := range s.node.Keys {
-			c := sqltypes.SortCompare(ks[a].keys[ki], ks[b].keys[ki])
-			if k.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	for i := range ks {
-		s.rows[i] = ks[i].row
+		dst[i] = v
 	}
 	return nil
+}
+
+// compare orders two evaluated key tuples (DESC keys reversed).
+func (k *sortKeys) compare(a, b []sqltypes.Value) int {
+	for i, key := range k.keys {
+		c := sqltypes.SortCompare(a[i], b[i])
+		if key.Desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// entryCmp is the total order the sort emits: keys, then input position.
+func (k *sortKeys) entryCmp(a, b *sortEntry) int {
+	if c := k.compare(a.keys, b.keys); c != 0 {
+		return c
+	}
+	return a.seq - b.seq
+}
+
+// plainSort materializes the input and stable-sorts it, evaluating every
+// row's keys once into one shared buffer.
+func (s *sortOp) plainSort(ctx *Ctx) error {
+	rows, err := drainInput(ctx, s.input, nil)
+	if err != nil {
+		return err
+	}
+	s.rows = rows
+	sk := sortKeys{keys: s.node.Keys, ec: evalCtx{schema: s.Schema()}}
+	nk := len(sk.keys)
+	keys := make([]sqltypes.Value, len(rows)*nk)
+	ents := make([]sortEntry, len(rows))
+	for i, r := range rows {
+		ents[i] = sortEntry{row: r, keys: keys[i*nk : (i+1)*nk : (i+1)*nk], seq: i}
+		if err := sk.eval(r, ents[i].keys); err != nil {
+			return err
+		}
+	}
+	slices.SortFunc(ents, func(a, b sortEntry) int { return sk.entryCmp(&a, &b) })
+	for i := range ents {
+		s.rows[i] = ents[i].row
+	}
+	return nil
+}
+
+// topK streams the input through a bounded max-heap of the s.limit
+// smallest entries under (keys, input position), so it holds at most
+// s.limit rows and emits exactly the prefix of the stable full sort.
+// Keys are evaluated into a reused scratch buffer; a row that does not
+// enter the heap costs no allocation.
+func (s *sortOp) topK(ctx *Ctx) error {
+	h := entryHeap{sk: &sortKeys{keys: s.node.Keys, ec: evalCtx{schema: s.Schema()}}}
+	scratch := make([]sqltypes.Value, len(s.node.Keys))
+	seq := 0
+	for {
+		b, err := s.input.NextBatch(ctx)
+		if err != nil {
+			return err
+		}
+		if b.Len() == 0 {
+			break
+		}
+		for _, r := range b.Rows {
+			if err := h.sk.eval(r, scratch); err != nil {
+				return err
+			}
+			switch {
+			case int64(len(h.e)) < s.limit:
+				h.e = append(h.e, sortEntry{row: r, keys: slices.Clone(scratch), seq: seq})
+				h.up(len(h.e) - 1)
+			case len(h.e) > 0 && h.sk.compare(scratch, h.e[0].keys) < 0:
+				// Strictly better than the current worst: a later row
+				// that ties loses on input position, so it never enters.
+				copy(h.e[0].keys, scratch)
+				h.e[0].row, h.e[0].seq = r, seq
+				h.down(0)
+			}
+			seq++
+		}
+	}
+	slices.SortFunc(h.e, func(a, b sortEntry) int { return h.sk.entryCmp(&a, &b) })
+	s.rows = make([]Row, len(h.e))
+	for i := range h.e {
+		s.rows[i] = h.e[i].row
+	}
+	return nil
+}
+
+// entryHeap is a binary max-heap of sort entries: the entry that sorts
+// last is on top, ready to be displaced by a better row.
+type entryHeap struct {
+	e  []sortEntry
+	sk *sortKeys
+}
+
+func (h *entryHeap) worse(i, j int) bool { return h.sk.entryCmp(&h.e[i], &h.e[j]) > 0 }
+
+func (h *entryHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.worse(i, p) {
+			return
+		}
+		h.e[i], h.e[p] = h.e[p], h.e[i]
+		i = p
+	}
+}
+
+func (h *entryHeap) down(i int) {
+	for {
+		w := 2*i + 1
+		if w >= len(h.e) {
+			return
+		}
+		if r := w + 1; r < len(h.e) && h.worse(r, w) {
+			w = r
+		}
+		if !h.worse(w, i) {
+			return
+		}
+		h.e[i], h.e[w] = h.e[w], h.e[i]
+		i = w
+	}
 }
 
 func (s *sortOp) NextBatch(ctx *Ctx) (*Batch, error) {
@@ -1044,6 +1232,7 @@ func (l *limitOp) Close(ctx *Ctx) error { return l.input.Close(ctx) }
 type distinctOp struct {
 	input Operator
 	seen  map[string]bool
+	key   []byte // row key, rebuilt in place per row
 	buf   Batch
 }
 
@@ -1067,9 +1256,9 @@ func (d *distinctOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		}
 		d.buf.reset()
 		for _, r := range b.Rows {
-			k := storage.IndexKey(r...)
-			if !d.seen[k] {
-				d.seen[k] = true
+			d.key = storage.AppendIndexKey(d.key[:0], r...)
+			if !d.seen[string(d.key)] {
+				d.seen[string(d.key)] = true
 				d.buf.Rows = append(d.buf.Rows, r)
 			}
 		}
@@ -1082,201 +1271,3 @@ func (d *distinctOp) NextBatch(ctx *Ctx) (*Batch, error) {
 func (d *distinctOp) Close(ctx *Ctx) error { return d.input.Close(ctx) }
 
 func (d *distinctOp) bufferedRows() int64 { return int64(len(d.seen)) }
-
-// ---------------------------------------------------------------------------
-// Aggregate
-
-type aggregateOp struct {
-	node    *plan.Aggregate
-	input   Operator
-	out     batchEmitter
-	grouped int64
-}
-
-func (a *aggregateOp) Schema() []plan.Col { return a.node.Schema() }
-
-func (a *aggregateOp) Open(ctx *Ctx) error {
-	if err := a.input.Open(ctx); err != nil {
-		return err
-	}
-	a.out = batchEmitter{}
-	a.grouped = 0
-	groups := make(map[string][]Row)
-	var order []string
-	for {
-		b, err := a.input.NextBatch(ctx)
-		if err != nil {
-			return err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		for _, r := range b.Rows {
-			keyVals := make([]sqltypes.Value, len(a.node.GroupBy))
-			for i, g := range a.node.GroupBy {
-				v, err := eval(g, &evalCtx{schema: a.input.Schema(), row: r})
-				if err != nil {
-					return err
-				}
-				keyVals[i] = v
-			}
-			k := storage.IndexKey(keyVals...)
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], r)
-			a.grouped++
-		}
-	}
-	// A global aggregate over zero rows still produces one row.
-	if len(a.node.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, "")
-		groups[""] = nil
-	}
-	for _, k := range order {
-		rows := groups[k]
-		if a.node.Having != nil {
-			hv, err := evalAggExpr(a.node.Having, rows, a.input.Schema())
-			if err != nil {
-				return err
-			}
-			if b, unknown := boolOf(hv); unknown || !b {
-				continue
-			}
-		}
-		out := make(Row, len(a.node.Items))
-		for i, it := range a.node.Items {
-			v, err := evalAggExpr(it.Expr, rows, a.input.Schema())
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		a.out.rows = append(a.out.rows, out)
-	}
-	return nil
-}
-
-func (a *aggregateOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	b := a.out.next(ctx)
-	if b == nil {
-		return nil, nil
-	}
-	return b, nil
-}
-
-func (a *aggregateOp) Close(ctx *Ctx) error { return a.input.Close(ctx) }
-
-func (a *aggregateOp) bufferedRows() int64 { return a.grouped + int64(len(a.out.rows)) }
-
-// evalAggExpr evaluates an expression over a group: aggregates compute over
-// all rows, everything else over the group's first row (legal because the
-// planner enforced grouping).
-func evalAggExpr(e parser.Expr, rows []Row, schema []plan.Col) (sqltypes.Value, error) {
-	if fc, ok := e.(*parser.FuncCall); ok && fc.IsAggregate() {
-		return computeAggregate(fc, rows, schema)
-	}
-	switch x := e.(type) {
-	case *parser.BinaryExpr:
-		if exprHasAggregate(e) {
-			l, err := evalAggExpr(x.L, rows, schema)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			r, err := evalAggExpr(x.R, rows, schema)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			switch x.Op {
-			case "AND", "OR":
-				return evalLogic(x.Op, l, r)
-			case "=", "<>", "<", "<=", ">", ">=":
-				return evalBinary(&parser.BinaryExpr{Op: x.Op,
-					L: &parser.Literal{Val: l}, R: &parser.Literal{Val: r}}, &evalCtx{})
-			default:
-				return evalArith(x.Op, l, r)
-			}
-		}
-	case *parser.UnaryExpr:
-		if exprHasAggregate(e) {
-			v, err := evalAggExpr(x.E, rows, schema)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			return eval(&parser.UnaryExpr{Op: x.Op, E: &parser.Literal{Val: v}}, &evalCtx{})
-		}
-	}
-	if len(rows) == 0 {
-		return sqltypes.Null(), nil
-	}
-	return eval(e, &evalCtx{schema: schema, row: rows[0]})
-}
-
-func exprHasAggregate(e parser.Expr) bool {
-	found := false
-	parser.WalkExprs(e, func(x parser.Expr) {
-		if fc, ok := x.(*parser.FuncCall); ok && fc.IsAggregate() {
-			found = true
-		}
-	})
-	return found
-}
-
-func computeAggregate(fc *parser.FuncCall, rows []Row, schema []plan.Col) (sqltypes.Value, error) {
-	if fc.Star { // COUNT(*)
-		return sqltypes.NewInt(int64(len(rows))), nil
-	}
-	var vals []sqltypes.Value
-	for _, r := range rows {
-		v, err := eval(fc.Args[0], &evalCtx{schema: schema, row: r})
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		if !v.IsUnknown() { // SQL aggregates skip NULLs (and CNULLs)
-			vals = append(vals, v)
-		}
-	}
-	switch fc.Name {
-	case "COUNT":
-		return sqltypes.NewInt(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return sqltypes.Null(), nil
-		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
-			f, err := v.Coerce(sqltypes.TypeFloat)
-			if err != nil {
-				return sqltypes.Value{}, fmt.Errorf("exec: %s over non-numeric value %v", fc.Name, v)
-			}
-			sum += f.Float()
-			if v.Kind() != sqltypes.KindInt {
-				allInt = false
-			}
-		}
-		if fc.Name == "AVG" {
-			return sqltypes.NewFloat(sum / float64(len(vals))), nil
-		}
-		if allInt {
-			return sqltypes.NewInt(int64(sum)), nil
-		}
-		return sqltypes.NewFloat(sum), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return sqltypes.Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, ok := sqltypes.Compare(v, best)
-			if !ok {
-				return sqltypes.Value{}, fmt.Errorf("exec: %s over incomparable values", fc.Name)
-			}
-			if (fc.Name == "MIN" && c < 0) || (fc.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return sqltypes.Value{}, fmt.Errorf("exec: unknown aggregate %s", fc.Name)
-}

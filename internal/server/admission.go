@@ -86,9 +86,9 @@ func (s *Server) countAdmission(admitted bool) {
 // noteAdmissionOutcome folds a retired job's actual spend into the
 // admission-accuracy aggregate when the job was admitted with a finite
 // forecast and ran to completion.
-func (s *Server) noteAdmissionOutcome(j *Job) {
+func (s *Server) noteAdmissionOutcome(j *Job, state JobState) {
 	j.mu.Lock()
-	predicted, actual, state := j.admPredicted, j.settledCents, j.state
+	predicted, actual := j.admPredicted, j.settledCents
 	j.mu.Unlock()
 	if predicted < 0 || state != JobDone {
 		return

@@ -124,8 +124,8 @@ func (s *Server) journalBudget(sess *Session) {
 	s.journalAppend(journalRec{T: recBudget, Session: sess.id, Budget: &b})
 }
 
-// journalEnd records a job's terminal state.
-func (s *Server) journalEnd(j *Job) {
+// journalEnd records the terminal state a job is reaching.
+func (s *Server) journalEnd(j *Job, state JobState, err *Error) {
 	if !s.journalEnabled() {
 		return
 	}
@@ -134,11 +134,11 @@ func (s *Server) journalEnd(j *Job) {
 		return
 	}
 	j.mu.Lock()
-	rec := journalRec{T: recEnd, Job: j.id, State: j.state, Affected: j.affected, Stmts: j.stmtsDone}
-	if j.err != nil {
-		rec.Code, rec.Msg = j.err.Code, j.err.Message
-	}
+	rec := journalRec{T: recEnd, Job: j.id, State: state, Affected: j.affected, Stmts: j.stmtsDone}
 	j.mu.Unlock()
+	if err != nil {
+		rec.Code, rec.Msg = err.Code, err.Message
+	}
 	s.journalAppend(rec)
 }
 

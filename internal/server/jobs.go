@@ -270,38 +270,45 @@ func (j *Job) completeStmt(res *core.Result, st exec.Stats) {
 	j.broadcastLocked()
 }
 
-// finish moves the job to a terminal state exactly once.
-func (j *Job) finish(state JobState, err *Error) {
-	j.cancel() // release the context regardless of how we got here
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
+// finishJob moves the job to a terminal state exactly once. The job is
+// retired first — trace sealed, journal end written, retention cap
+// enforced — and only then is the terminal state published, so a waiter,
+// streamer or poller that sees it finds the job already retired.
+func (s *Server) finishJob(job *Job, state JobState, err *Error) {
+	job.cancel() // release the context regardless of how we got here
+	job.mu.Lock()
+	if job.state.Terminal() {
+		job.mu.Unlock()
 		return
 	}
-	j.state = state
-	j.err = err
 	// The running statement's progress is settled (or lost) by now.
-	j.settledStats = j.settledStats.Add(j.progressStats)
-	j.settledCents += j.price(j.progressStats)
-	j.progressStats = exec.Stats{}
-	j.broadcastLocked()
+	job.settledStats = job.settledStats.Add(job.progressStats)
+	job.settledCents += job.price(job.progressStats)
+	job.progressStats = exec.Stats{}
+	job.mu.Unlock()
+	s.retireJob(job, state, err)
+	job.mu.Lock()
+	job.state = state
+	job.err = err
+	job.broadcastLocked()
+	job.mu.Unlock()
 }
 
 // finishInterrupted resolves a job whose statement context fired: a
 // client cancellation yields the cancelled state, a closed session the
 // coded session_closed failure, and an expired drain deadline the coded
 // shutting_down failure.
-func (j *Job) finishInterrupted() {
-	j.mu.Lock()
-	code, msg := j.cancelCode, j.cancelMsg
-	j.mu.Unlock()
+func (s *Server) finishInterrupted(job *Job) {
+	job.mu.Lock()
+	code, msg := job.cancelCode, job.cancelMsg
+	job.mu.Unlock()
 	switch code {
 	case CodeSessionClosed:
-		j.finish(JobFailed, errf(CodeSessionClosed, "%s", msg))
+		s.finishJob(job, JobFailed, errf(CodeSessionClosed, "%s", msg))
 	case CodeShuttingDown:
-		j.finish(JobFailed, errf(CodeShuttingDown, "%s", msg))
+		s.finishJob(job, JobFailed, errf(CodeShuttingDown, "%s", msg))
 	default:
-		j.finish(JobCancelled, nil)
+		s.finishJob(job, JobCancelled, nil)
 	}
 }
 
@@ -498,11 +505,10 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 	if aerr := s.admit(job.ctx); aerr != nil {
 		s.countRejected(aerr)
 		if job.ctx.Err() != nil {
-			job.finishInterrupted()
+			s.finishInterrupted(job)
 		} else {
-			job.finish(JobFailed, aerr)
+			s.finishJob(job, JobFailed, aerr)
 		}
-		s.retireJob(job)
 		return
 	}
 	defer s.release()
@@ -516,15 +522,13 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 
 	for _, stmt := range stmts {
 		if job.ctx.Err() != nil {
-			job.finishInterrupted()
-			s.retireJob(job)
+			s.finishInterrupted(job)
 			return
 		}
 		reserved, berr := job.sess.reserveBudget()
 		if berr != nil {
 			s.countError()
-			job.finish(JobFailed, berr)
-			s.retireJob(job)
+			s.finishJob(job, JobFailed, berr)
 			return
 		}
 		var stmtStats exec.Stats
@@ -549,12 +553,11 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 			// mid-statement progress snapshot before the job settles.
 			job.noteProgress(stmtStats)
 			if job.ctx.Err() != nil {
-				job.finishInterrupted()
+				s.finishInterrupted(job)
 			} else {
 				s.countError()
-				job.finish(JobFailed, errf(CodeInternal, "%v", err))
+				s.finishJob(job, JobFailed, errf(CodeInternal, "%v", err))
 			}
-			s.retireJob(job)
 			return
 		}
 		job.completeStmt(res, stmtStats)
@@ -562,19 +565,20 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 	s.mu.Lock()
 	s.stats.Queries++
 	s.mu.Unlock()
-	job.finish(JobDone, nil)
-	s.retireJob(job)
+	s.finishJob(job, JobDone, nil)
 }
 
-// retireJob moves a terminal job out of its session's active set and
-// enforces the finished-job retention cap. The job's trace is sealed
-// here — dangling spans close, the slow-query log fires past threshold.
-func (s *Server) retireJob(job *Job) {
+// retireJob moves a job that is reaching the given terminal state out of
+// its session's active set and enforces the finished-job retention cap.
+// The job's trace is sealed here — dangling spans close, the slow-query
+// log fires past threshold. finishJob calls it before publishing the
+// state.
+func (s *Server) retireJob(job *Job, state JobState, err *Error) {
 	s.eng.Tracer().Finish(job.trace)
-	s.mJobsByState[job.State()].Inc()
+	s.mJobsByState[state].Inc()
 	job.sess.removeJob(job.id)
-	s.journalEnd(job)
-	s.noteAdmissionOutcome(job)
+	s.journalEnd(job, state, err)
+	s.noteAdmissionOutcome(job, state)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.finished = append(s.finished, job.id)

@@ -10,7 +10,11 @@ import (
 // Row is a tuple of values, positionally matching the table's columns.
 type Row []sqltypes.Value
 
-// Clone returns an independent copy of the row.
+// Clone returns an independent copy of the row. The store clones every
+// row it installs, so a writer's later edits to its own slice never reach
+// a stored version; read paths hand out the stored images themselves,
+// shared and read-only, so a reader that wants to edit one clones it
+// first.
 func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	copy(out, r)

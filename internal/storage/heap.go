@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -67,8 +68,23 @@ func (c *versionChain) at(ts int64) (Row, bool) {
 // until garbage collection proves no live snapshot can still see it. IDs
 // are never reused, so the WAL can refer to rows by ID across the table's
 // lifetime; nextID here only tracks the high water mark for recovery.
+//
+// Chains are reachable two ways: by ID through the rows map (point reads
+// and writes), and in ascending RowID order through the order slice,
+// which is what scans walk — IDs and row images in one pass, no sort.
+// Row images are immutable once installed: writers install a fresh
+// version rather than edit one, so readers share them without copying.
 type heap struct {
 	rows map[RowID]*versionChain
+	// order lists every chain in ascending RowID order. Inserts almost
+	// always append (IDs are allocated monotonically per table); an
+	// out-of-order arrival (a concurrent commit, a primary-key change
+	// moving a row onto this shard, recovery replay) is placed by binary
+	// search. A chain dropped by GC or recovery is emptied in place and
+	// counted in dead; compaction removes such entries once they make up
+	// half the slice.
+	order []heapEntry
+	dead  int
 	// history holds the IDs of chains that carry a superseded or dead
 	// version — the only chains GC can reclaim anything from. supersede
 	// adds to it; GC removes a chain once it is back to one live version
@@ -78,8 +94,66 @@ type heap struct {
 	live    int // chains whose latest version is live
 }
 
+// heapEntry is one slot of the RowID-ordered walk. A chain with no
+// versions is a dropped entry awaiting compaction.
+type heapEntry struct {
+	id RowID
+	c  *versionChain
+}
+
 func newHeap() *heap {
 	return &heap{rows: make(map[RowID]*versionChain), history: make(map[RowID]struct{}), nextID: 1}
+}
+
+// addChain registers a new chain under id in both the map and the
+// ordered walk. A dropped entry still holding the same ID (the row left
+// this shard, was collected, and has now moved back) is reused.
+func (h *heap) addChain(id RowID, c *versionChain) {
+	h.rows[id] = c
+	if id >= h.nextID {
+		h.nextID = id + 1
+	}
+	n := len(h.order)
+	if n == 0 || h.order[n-1].id < id {
+		h.order = append(h.order, heapEntry{id: id, c: c})
+		return
+	}
+	i := sort.Search(n, func(i int) bool { return h.order[i].id >= id })
+	if i < n && h.order[i].id == id {
+		h.order[i].c = c
+		h.dead--
+		return
+	}
+	h.order = slices.Insert(h.order, i, heapEntry{id: id, c: c})
+}
+
+// dropChain removes id's chain from the map and empties it, leaving its
+// ordered entry for compaction.
+func (h *heap) dropChain(id RowID) {
+	c, ok := h.rows[id]
+	if !ok {
+		return
+	}
+	c.versions = nil
+	delete(h.rows, id)
+	delete(h.history, id)
+	h.dead++
+	if h.dead*2 > len(h.order) {
+		h.compact()
+	}
+}
+
+// compact removes dropped entries from the ordered walk.
+func (h *heap) compact() {
+	kept := h.order[:0]
+	for _, e := range h.order {
+		if len(e.c.versions) > 0 {
+			kept = append(kept, e)
+		}
+	}
+	clear(h.order[len(kept):])
+	h.order = kept
+	h.dead = 0
 }
 
 // insertVersion appends a live version beginning at ts under a
@@ -89,15 +163,12 @@ func (h *heap) insertVersion(id RowID, r Row, ts int64) {
 	c, ok := h.rows[id]
 	if !ok {
 		c = &versionChain{}
-		h.rows[id] = c
+		h.addChain(id, c)
 	}
 	if _, wasLive := c.live(); !wasLive {
 		h.live++
 	}
 	c.versions = append(c.versions, rowVersion{row: r, begin: ts, end: tsInfinity})
-	if id >= h.nextID {
-		h.nextID = id + 1
-	}
 }
 
 // get returns the live (latest committed) row image.
@@ -139,17 +210,17 @@ func (h *heap) supersede(id RowID, ts int64) (Row, bool) {
 // replaceAt wipes a row's history and installs a single version — the
 // recovery path, where no snapshot can predate the process.
 func (h *heap) replaceAt(id RowID, r Row, ts int64) {
+	versions := []rowVersion{{row: r, begin: ts, end: tsInfinity}}
 	if c, ok := h.rows[id]; ok {
 		if _, wasLive := c.live(); wasLive {
 			h.live--
 		}
+		c.versions = versions
+		delete(h.history, id)
+	} else {
+		h.addChain(id, &versionChain{versions: versions})
 	}
-	h.rows[id] = &versionChain{versions: []rowVersion{{row: r, begin: ts, end: tsInfinity}}}
-	delete(h.history, id)
 	h.live++
-	if id >= h.nextID {
-		h.nextID = id + 1
-	}
 }
 
 // hardDelete removes a row and its whole history (recovery replay only).
@@ -161,8 +232,7 @@ func (h *heap) hardDelete(id RowID) bool {
 	if _, wasLive := c.live(); wasLive {
 		h.live--
 	}
-	delete(h.rows, id)
-	delete(h.history, id)
+	h.dropChain(id)
 	return true
 }
 
@@ -186,23 +256,32 @@ func (h *heap) retainedCount() int {
 // scans a deterministic physical order (insertion order).
 func (h *heap) scanIDs() []RowID {
 	ids := make([]RowID, 0, h.live)
-	for id, c := range h.rows {
-		if _, ok := c.live(); ok {
-			ids = append(ids, id)
+	for _, e := range h.order {
+		if _, ok := e.c.live(); ok {
+			ids = append(ids, e.id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// scanIDsAt returns the IDs visible to a snapshot at ts, ascending.
-func (h *heap) scanIDsAt(ts int64) []RowID {
-	ids := make([]RowID, 0, len(h.rows))
-	for id, c := range h.rows {
-		if _, ok := c.at(ts); ok {
-			ids = append(ids, id)
+// scanAt walks the ordered chains once and returns the IDs and shared row
+// images visible to a snapshot at ts, ascending by ID. With withRows
+// false only the IDs are collected.
+func (h *heap) scanAt(ts int64, withRows bool) ([]RowID, []Row) {
+	ids := make([]RowID, 0, h.live)
+	var rows []Row
+	if withRows {
+		rows = make([]Row, 0, h.live)
+	}
+	for _, e := range h.order {
+		r, ok := e.c.at(ts)
+		if !ok {
+			continue
+		}
+		ids = append(ids, e.id)
+		if withRows {
+			rows = append(rows, r)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return ids, rows
 }

@@ -21,7 +21,13 @@ package storage
 // commit, or explicitly via Store.GC. Each shard's heap tracks which
 // chains carry history, so a sweep visits only those rows.
 
-import "sync"
+import (
+	"fmt"
+	"hash/fnv"
+	"sync"
+
+	"crowddb/internal/sqltypes"
+)
 
 // gcRetainedThreshold is the retained-version backlog at which a commit
 // triggers a sweep even though snapshots may still be live (the sweep
@@ -195,8 +201,7 @@ func (ts *tableStore) gc(horizon int64) int {
 			total += len(drop)
 			switch {
 			case len(keep) == 0:
-				delete(sh.heap.rows, id)
-				delete(sh.heap.history, id)
+				sh.heap.dropChain(id)
 				delete(sh.rowLSN, id)
 			case len(keep) == 1 && keep[0].end == tsInfinity:
 				delete(sh.heap.history, id) // back to one live version
@@ -233,6 +238,32 @@ func (s *Store) VersionStats() (live, retained int) {
 		retained += sh.heap.retainedCount()
 	})
 	return live, retained
+}
+
+// VersionFingerprints hashes the image of every stored row version,
+// keyed by table, shard, row ID and the version's begin timestamp. Two
+// calls agree on a key exactly when nothing wrote into that image in
+// between: tests use it to prove that readers treat the shared images
+// the read paths return as read-only. It walks the whole store.
+func (s *Store) VersionFingerprints() map[string]uint64 {
+	out := make(map[string]uint64)
+	for name, ts := range s.tableMap() {
+		for i, sh := range ts.shards {
+			sh.mu.RLock()
+			for _, e := range sh.heap.order {
+				for _, v := range e.c.versions {
+					h := fnv.New64a()
+					for _, val := range v.row {
+						h.Write([]byte{byte(val.Kind())})
+						h.Write([]byte(sqltypes.EncodeKey(val)))
+					}
+					out[fmt.Sprintf("%s/%d/%d@%d", name, i, e.id, v.begin)] = h.Sum64()
+				}
+			}
+			sh.mu.RUnlock()
+		}
+	}
+	return out
 }
 
 // liveRows sums the live-row counters of every shard of every table: O(1)

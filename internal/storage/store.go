@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -19,21 +20,34 @@ import (
 // 0x00 0x00 so that lexicographic comparison of composite keys matches
 // column-by-column comparison.
 func IndexKey(vals ...sqltypes.Value) string {
-	var sb strings.Builder
+	return string(AppendIndexKey(make([]byte, 0, 16*len(vals)), vals...))
+}
+
+// AppendIndexKey appends IndexKey(vals...) to dst. A caller that keeps dst
+// across rows builds its keys without allocating, and a map lookup by
+// string(dst) allocates nothing either.
+func AppendIndexKey(dst []byte, vals ...sqltypes.Value) []byte {
 	for _, v := range vals {
-		enc := sqltypes.EncodeKey(v)
-		for i := 0; i < len(enc); i++ {
-			if enc[i] == 0x00 {
-				sb.WriteByte(0x00)
-				sb.WriteByte(0xFF)
-			} else {
-				sb.WriteByte(enc[i])
+		start := len(dst)
+		dst = sqltypes.AppendKey(dst, v)
+		// Escape in place, back to front: each 0x00 widens to 0x00 0xFF.
+		if zeros := bytes.Count(dst[start:], []byte{0}); zeros > 0 {
+			end := len(dst)
+			dst = append(dst, make([]byte, zeros)...)
+			w := len(dst)
+			for r := end - 1; r >= start; r-- {
+				if dst[r] == 0x00 {
+					w -= 2
+					dst[w], dst[w+1] = 0x00, 0xFF
+				} else {
+					w--
+					dst[w] = dst[r]
+				}
 			}
 		}
-		sb.WriteByte(0x00)
-		sb.WriteByte(0x00)
+		dst = append(dst, 0x00, 0x00)
 	}
-	return sb.String()
+	return dst
 }
 
 // Shard-count bounds: MaxShards caps explicit configuration, and
@@ -403,14 +417,10 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	trees := make([]*BTree, len(ts.shards))
 	for i, sh := range ts.shards {
 		trees[i] = NewBTree()
-		ids := make([]RowID, 0, len(sh.heap.rows))
-		for id := range sh.heap.rows {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, id := range ids {
+		for _, e := range sh.heap.order {
+			id := e.id
 			added := make(map[string]bool, 1)
-			for _, v := range sh.heap.rows[id].versions {
+			for _, v := range e.c.versions {
 				k := indexKeyFor(v.row, def.cols)
 				if unique && v.end == tsInfinity {
 					if seen[k] {
@@ -775,14 +785,22 @@ func (t *Txn) Delete(table string, id RowID) error {
 	}
 }
 
-// Get returns a copy of the row at id as of the current watermark.
+// Get returns the row at id as of the current watermark (shared and
+// read-only: see GetAt).
 func (s *Store) Get(table string, id RowID) (Row, bool) {
 	return s.GetAt(table, id, s.visible.Load())
 }
 
-// GetAt returns a copy of the row version at id visible to a snapshot at
-// ts (probing shards for PK-routed tables — a moved row's versions live
-// on different shards, but at most one is visible at any timestamp).
+// GetAt returns the row version at id visible to a snapshot at ts
+// (probing shards for PK-routed tables — a moved row's versions live on
+// different shards, but at most one is visible at any timestamp).
+//
+// Every read path (GetAt, ScanAt/ScanRowsAt/ScanShardRowsAt, the PK and
+// index lookups) returns the stored version image itself, shared with
+// the store and with every other reader: committed versions are never
+// modified in place, so no copy is needed to read one. Callers must not
+// write into a returned Row; clone it first (Row.Clone) to edit it, as
+// an UPDATE or a crowd fill does before installing the result.
 func (s *Store) GetAt(table string, id RowID, ts int64) (Row, bool) {
 	t, err := s.table(table)
 	if err != nil {
@@ -793,17 +811,14 @@ func (s *Store) GetAt(table string, id RowID, ts int64) (Row, bool) {
 		sh.mu.RLock()
 		r, ok := sh.heap.getAt(id, ts)
 		sh.mu.RUnlock()
-		if !ok {
-			return nil, false
-		}
-		return r.Clone(), true
+		return r, ok
 	}
 	for _, sh := range t.shards {
 		sh.mu.RLock()
 		r, ok := sh.heap.getAt(id, ts)
 		sh.mu.RUnlock()
 		if ok {
-			return r.Clone(), true
+			return r, true
 		}
 	}
 	return nil, false
@@ -825,7 +840,7 @@ func (s *Store) ScanAt(table string, at int64) ([]RowID, error) {
 	total := 0
 	for i, sh := range ts.shards {
 		sh.mu.RLock()
-		perShard[i] = sh.heap.scanIDsAt(at)
+		perShard[i], _ = sh.heap.scanAt(at, false)
 		sh.mu.RUnlock()
 		total += len(perShard[i])
 	}
@@ -897,17 +912,15 @@ func (s *Store) ScanShardRowsAt(table string, shard int, at int64) ([]RowID, []R
 	return ids, rows, nil
 }
 
+// snapshotShard collects one shard's rows visible at ts in a single
+// ascending-ID walk under the shard's read lock. The rows are the shared
+// version images, not copies (see GetAt for the ownership rule), so a
+// snapshot costs two slices, not one allocation per row.
 func (ts *tableStore) snapshotShard(i int, at int64) ([]RowID, []Row) {
 	sh := ts.shards[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ids := sh.heap.scanIDsAt(at)
-	rows := make([]Row, len(ids))
-	for j, id := range ids {
-		r, _ := sh.heap.getAt(id, at)
-		rows[j] = r.Clone()
-	}
-	return ids, rows
+	return sh.heap.scanAt(at, true)
 }
 
 func mergeRows(ids [][]RowID, rows [][]Row, total int) ([]RowID, []Row, error) {
@@ -953,8 +966,8 @@ func (s *Store) LookupPK(table string, pk ...sqltypes.Value) (RowID, bool) {
 	return id, ok
 }
 
-// LookupPKRow is LookupPK that also returns a copy of the row under the
-// same lock acquisition (no separate Get round-trip).
+// LookupPKRow is LookupPK that also returns the row (shared, read-only:
+// see GetAt) under the same lock acquisition (no separate Get round-trip).
 func (s *Store) LookupPKRow(table string, pk ...sqltypes.Value) (RowID, Row, bool) {
 	return s.lookupPK(table, true, pk, s.visible.Load())
 }
@@ -986,7 +999,7 @@ func (s *Store) lookupPK(table string, withRow bool, pk []sqltypes.Value, at int
 		if !withRow {
 			return rid, nil, true
 		}
-		return rid, r.Clone(), true
+		return rid, r, true
 	}
 	return 0, nil, false
 }
@@ -999,7 +1012,8 @@ func (s *Store) LookupIndex(table, index string, vals ...sqltypes.Value) ([]RowI
 }
 
 // LookupIndexRows returns matching rows (with their IDs) in insertion
-// order, cloned under one lock acquisition per shard.
+// order, collected under one lock acquisition per shard. The rows are
+// shared and read-only (see GetAt).
 func (s *Store) LookupIndexRows(table, index string, vals ...sqltypes.Value) ([]RowID, []Row, error) {
 	return s.lookupIndex(table, index, true, vals, s.visible.Load())
 }
@@ -1037,7 +1051,7 @@ func (s *Store) lookupIndex(table, index string, withRows bool, vals []sqltypes.
 			}
 			h := hit{id: rid}
 			if withRows {
-				h.row = r.Clone()
+				h.row = r
 			}
 			hits = append(hits, h)
 		}

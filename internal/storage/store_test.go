@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +232,51 @@ func TestRowCodecRoundTrip(t *testing.T) {
 			if !sqltypes.Identical(r[i], back[i]) {
 				t.Errorf("value %d: %v vs %v", i, r[i], back[i])
 			}
+		}
+	}
+}
+
+// TestAppendIndexKeyEscaping checks the in-place escaping against a
+// byte-at-a-time reference: each part's 0x00 bytes become 0x00 0xFF and
+// every part ends in 0x00 0x00, after whatever dst already holds.
+func TestAppendIndexKeyEscaping(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := func() []sqltypes.Value {
+		out := make([]sqltypes.Value, 1+rng.Intn(3))
+		for i := range out {
+			switch rng.Intn(5) {
+			case 0:
+				out[i] = sqltypes.Null()
+			case 1:
+				out[i] = sqltypes.NewInt(rng.Int63n(1000) - 500)
+			case 2:
+				out[i] = sqltypes.NewFloat(rng.NormFloat64())
+			case 3:
+				out[i] = sqltypes.NewBool(rng.Intn(2) == 0)
+			default:
+				out[i] = sqltypes.NewString(string([]byte{0, byte(rng.Intn(3)), 'a', 0}))
+			}
+		}
+		return out
+	}
+	for i := 0; i < 500; i++ {
+		vs := vals()
+		want := []byte("prefix")
+		for _, v := range vs {
+			for _, b := range []byte(sqltypes.EncodeKey(v)) {
+				if b == 0 {
+					want = append(want, 0, 0xFF)
+				} else {
+					want = append(want, b)
+				}
+			}
+			want = append(want, 0, 0)
+		}
+		if got := AppendIndexKey([]byte("prefix"), vs...); string(got) != string(want) {
+			t.Fatalf("AppendIndexKey(%v) = %q, want %q", vs, got, want)
+		}
+		if got := IndexKey(vs...); got != string(want[len("prefix"):]) {
+			t.Fatalf("IndexKey(%v) = %q", vs, got)
 		}
 	}
 }
