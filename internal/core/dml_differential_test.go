@@ -44,11 +44,15 @@ func referenceDML(t *testing.T, e *Engine, sql string) (int, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matches, err := exec.CompileFilter(where, schema)
+	if err != nil {
+		return 0, err
+	}
 	tx := e.store.Begin()
 	defer tx.Commit()
 	n := 0
 	for i, row := range rows {
-		match, err := exec.RowMatches(where, row, schema)
+		match, err := matches.Keep(row)
 		if err != nil {
 			return n, err
 		}
@@ -61,7 +65,7 @@ func referenceDML(t *testing.T, e *Engine, sql string) (int, error) {
 			updated := row.Clone()
 			for _, a := range set {
 				ci := tbl.ColumnIndex(a.Column)
-				v, err := exec.EvalRow(a.Value, updated, schema)
+				v, err := exec.CompileExpr(a.Value, schema)(updated)
 				if err != nil {
 					return n, err
 				}

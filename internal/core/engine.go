@@ -613,9 +613,12 @@ func (e *Engine) applyDDL(stmt parser.Statement, persist bool) error {
 	return fmt.Errorf("core: not a DDL statement: %T", stmt)
 }
 
-// constEval evaluates a row-independent expression (INSERT values, SET
-// right-hand sides without column references).
+// constEval evaluates a row-independent expression (INSERT values). A
+// literal, the common case, is read directly.
 func constEval(ex parser.Expr) (sqltypes.Value, error) {
+	if lit, ok := ex.(*parser.Literal); ok {
+		return lit.Val, nil
+	}
 	return exec.EvalConst(ex)
 }
 
@@ -693,50 +696,60 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (*Res
 	return &Result{Affected: inserted}, nil
 }
 
-// dmlCandidates resolves an UPDATE/DELETE target and fetches, at the
-// current watermark, a superset of the rows its WHERE matches: through the
-// primary key or a secondary index when a conjunct pins one to a literal
-// (the access path SELECT uses), else by a full scan. Every column the
-// WHERE names is resolved up front, so an unknown column fails the
-// statement however few rows the access path fetches. Callers evaluate
-// the full WHERE on each candidate.
-func (e *Engine) dmlCandidates(table string, where parser.Expr) (*catalog.Table, []plan.Col, []storage.RowID, []storage.Row, error) {
+// dmlTarget is an UPDATE/DELETE's table, its row schema, its compiled
+// WHERE, and the candidate rows that WHERE may match.
+type dmlTarget struct {
+	t      *catalog.Table
+	schema []plan.Col
+	match  exec.Filter
+	ids    []storage.RowID
+	rows   []storage.Row
+}
+
+// dmlCandidates resolves an UPDATE/DELETE target, compiles its WHERE once
+// for the statement, and fetches, at the current watermark, a superset of
+// the rows the WHERE matches: through the primary key or a secondary index
+// when a conjunct pins one to a literal (the access path SELECT uses),
+// else by a full scan. Compiling resolves every column the WHERE names, so
+// an unknown column fails the statement however few rows the access path
+// fetches. Callers run the compiled WHERE on each candidate.
+func (e *Engine) dmlCandidates(table string, where parser.Expr) (d dmlTarget, err error) {
 	t, ok := e.cat.Table(table)
 	if !ok {
-		return nil, nil, nil, nil, fmt.Errorf("core: table %s not found", table)
+		return d, fmt.Errorf("core: table %s not found", table)
 	}
-	schema := plan.NewScan(t, "").Schema()
-	var colErr error
-	parser.WalkExprs(where, func(x parser.Expr) {
-		if cr, ok := x.(*parser.ColumnRef); ok && colErr == nil {
-			_, colErr = plan.FindCol(schema, cr.Table, cr.Name)
-		}
-	})
-	if colErr != nil {
-		return nil, nil, nil, nil, colErr
+	d.t, d.schema = t, plan.NewScan(t, "").Schema()
+	if d.match, err = exec.CompileFilter(where, d.schema); err != nil {
+		return d, err
 	}
-	ids, rows, err := exec.FetchCandidates(e.store, e.cat, t, optimizer.ProbeKeys(where), e.store.VisibleTS())
-	return t, schema, ids, rows, err
+	d.ids, d.rows, err = exec.FetchCandidates(e.store, e.cat, t, optimizer.ProbeKeys(where), e.store.VisibleTS())
+	return d, err
 }
 
 func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Result, error) {
-	t, schema, ids, rows, err := e.dmlCandidates(s.Table, s.Where)
+	d, err := e.dmlCandidates(s.Table, s.Where)
 	if err != nil {
 		return nil, err
 	}
-	setIdx := make([]int, len(s.Set))
+	t := d.t
+	// Each SET target's column ordinal and compiled right-hand side.
+	sets := make([]struct {
+		col int
+		val func(storage.Row) (sqltypes.Value, error)
+	}, len(s.Set))
 	for i, a := range s.Set {
-		if setIdx[i] = t.ColumnIndex(a.Column); setIdx[i] < 0 {
+		if sets[i].col = t.ColumnIndex(a.Column); sets[i].col < 0 {
 			return nil, fmt.Errorf("core: column %s.%s not found", s.Table, a.Column)
 		}
+		sets[i].val = exec.CompileExpr(a.Value, d.schema)
 	}
 	// One transaction per statement: all matched rows flip to the new
 	// version together from any new snapshot's point of view.
 	tx := e.store.Begin()
 	defer e.commitTraced(tx, tr, sp)
 	affected := 0
-	for i, row := range rows {
-		match, err := exec.RowMatches(s.Where, row, schema)
+	for i, row := range d.rows {
+		match, err := d.match.Keep(row)
 		if err != nil {
 			return nil, err
 		}
@@ -745,8 +758,8 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 		}
 		updated := row.Clone()
 		for j, a := range s.Set {
-			ci := setIdx[j]
-			v, err := exec.EvalRow(a.Value, updated, schema)
+			ci := sets[j].col
+			v, err := sets[j].val(updated)
 			if err != nil {
 				return nil, err
 			}
@@ -761,7 +774,7 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 			}
 			updated[ci] = cv
 		}
-		if err := tx.Update(t.Name, ids[i], updated); err != nil {
+		if err := tx.Update(t.Name, d.ids[i], updated); err != nil {
 			return nil, err
 		}
 		affected++
@@ -770,17 +783,18 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 }
 
 func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (*Result, error) {
-	t, schema, ids, rows, err := e.dmlCandidates(s.Table, s.Where)
+	d, err := e.dmlCandidates(s.Table, s.Where)
 	if err != nil {
 		return nil, err
 	}
+	t := d.t
 	// One transaction per statement: all matched rows disappear together
 	// from any new snapshot's point of view.
 	tx := e.store.Begin()
 	defer e.commitTraced(tx, tr, sp)
 	affected := 0
-	for i, row := range rows {
-		match, err := exec.RowMatches(s.Where, row, schema)
+	for i, row := range d.rows {
+		match, err := d.match.Keep(row)
 		if err != nil {
 			return nil, err
 		}
@@ -792,7 +806,7 @@ func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (*Res
 				t.AdjustCNull(c.Name, -1)
 			}
 		}
-		if err := tx.Delete(t.Name, ids[i]); err != nil {
+		if err := tx.Delete(t.Name, d.ids[i]); err != nil {
 			return nil, err
 		}
 		t.AddRowCount(-1)

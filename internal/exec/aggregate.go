@@ -24,10 +24,12 @@ type aggregateOp struct {
 	// accumulator's index within a group.
 	slots  map[*parser.FuncCall]int
 	calls  []*parser.FuncCall
-	schema []plan.Col // input schema
 	out    batchEmitter
 	groups int64
 }
+
+// groupFn is an item or HAVING expression compiled over a folded group.
+type groupFn func(*aggGroup) (sqltypes.Value, error)
 
 // aggGroup is one group's folded state.
 type aggGroup struct {
@@ -42,7 +44,7 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 		return err
 	}
 	a.out, a.groups = batchEmitter{}, 0
-	a.schema = a.input.Schema()
+	schema := a.input.Schema()
 	a.slots, a.calls = make(map[*parser.FuncCall]int), nil
 	for _, it := range a.node.Items {
 		a.collectCalls(it.Expr)
@@ -50,8 +52,24 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 	if a.node.Having != nil {
 		a.collectCalls(a.node.Having)
 	}
-	keyCtx := evalCtx{schema: a.schema}
-	argCtx := evalCtx{schema: a.schema}
+	args := make([]evalFn, len(a.calls)) // calls[i]'s argument; nil for COUNT(*)
+	for i, fc := range a.calls {
+		if !fc.Star {
+			args[i] = compileValue(fc.Args[0], schema, compileEnv{})
+		}
+	}
+	keyFns := make([]evalFn, len(a.node.GroupBy))
+	for i, g := range a.node.GroupBy {
+		keyFns[i] = compileValue(g, schema, compileEnv{})
+	}
+	var having groupFn
+	if a.node.Having != nil {
+		having = a.compileGroup(a.node.Having, schema)
+	}
+	items := make([]groupFn, len(a.node.Items))
+	for i, it := range a.node.Items {
+		items[i] = a.compileGroup(it.Expr, schema)
+	}
 	keyVals := make([]sqltypes.Value, len(a.node.GroupBy))
 	var key []byte // the row's group key, rebuilt in place
 	groups := make(map[string]*aggGroup)
@@ -65,9 +83,8 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 			break
 		}
 		for _, r := range b.Rows {
-			keyCtx.row = r
-			for i, g := range a.node.GroupBy {
-				v, err := eval(g, &keyCtx)
+			for i, kf := range keyFns {
+				v, err := kf(r)
 				if err != nil {
 					return err
 				}
@@ -80,9 +97,8 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 				groups[string(key)] = g
 				order = append(order, g)
 			}
-			argCtx.row = r
 			for i, fc := range a.calls {
-				g.accs[i].add(fc, &argCtx)
+				g.accs[i].add(fc, args[i], r)
 			}
 		}
 	}
@@ -92,18 +108,18 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 	}
 	a.groups = int64(len(order))
 	for _, g := range order {
-		if a.node.Having != nil {
-			hv, err := a.evalGroup(a.node.Having, g)
+		if having != nil {
+			hv, err := having(g)
 			if err != nil {
 				return err
 			}
-			if b, unknown := boolOf(hv); unknown || !b {
+			if truthOfValue(hv) != tTrue {
 				continue
 			}
 		}
-		out := make(Row, len(a.node.Items))
-		for i, it := range a.node.Items {
-			v, err := a.evalGroup(it.Expr, g)
+		out := make(Row, len(items))
+		for i, item := range items {
+			v, err := item(g)
 			if err != nil {
 				return err
 			}
@@ -122,8 +138,8 @@ func (a *aggregateOp) newGroup(first Row) *aggGroup {
 	return g
 }
 
-// collectCalls registers the aggregate calls evalGroup will ask for: it
-// walks e exactly as evalGroup does, descending only through the binary
+// collectCalls registers the aggregate calls compileGroup reads: it
+// walks e exactly as compileGroup does, descending only through the binary
 // and unary operators that combine aggregates.
 func (a *aggregateOp) collectCalls(e parser.Expr) {
 	if fc, ok := e.(*parser.FuncCall); ok && fc.IsAggregate() {
@@ -159,47 +175,72 @@ func (a *aggregateOp) Close(ctx *Ctx) error { return a.input.Close(ctx) }
 // row each) plus the output rows.
 func (a *aggregateOp) bufferedRows() int64 { return a.groups + int64(len(a.out.rows)) }
 
-// evalGroup evaluates an item or HAVING expression over a folded group:
-// aggregate calls read their accumulators, everything else evaluates
-// over the group's first row.
-func (a *aggregateOp) evalGroup(e parser.Expr, g *aggGroup) (sqltypes.Value, error) {
+// compileGroup compiles an item or HAVING expression over a folded
+// group: aggregate calls read their accumulators, operators over
+// aggregates combine the results, and everything else evaluates over the
+// group's first row (NULL for a global aggregate over no rows).
+func (a *aggregateOp) compileGroup(e parser.Expr, schema []plan.Col) groupFn {
 	if fc, ok := e.(*parser.FuncCall); ok && fc.IsAggregate() {
-		return g.accs[a.slots[fc]].result(fc)
+		slot := a.slots[fc]
+		return func(g *aggGroup) (sqltypes.Value, error) { return g.accs[slot].result(fc) }
 	}
 	switch x := e.(type) {
 	case *parser.BinaryExpr:
 		if exprHasAggregate(e) {
-			l, err := a.evalGroup(x.L, g)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			r, err := a.evalGroup(x.R, g)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			switch x.Op {
-			case "AND", "OR":
-				return evalLogic(x.Op, l, r)
-			case "=", "<>", "<", "<=", ">", ">=":
-				return evalBinary(&parser.BinaryExpr{Op: x.Op,
-					L: &parser.Literal{Val: l}, R: &parser.Literal{Val: r}}, &evalCtx{})
-			default:
-				return evalArith(x.Op, l, r)
-			}
+			return binaryGroup(x.Op, a.compileGroup(x.L, schema), a.compileGroup(x.R, schema))
 		}
 	case *parser.UnaryExpr:
 		if exprHasAggregate(e) {
-			v, err := a.evalGroup(x.E, g)
-			if err != nil {
-				return sqltypes.Value{}, err
+			inner, op := a.compileGroup(x.E, schema), x.Op
+			return func(g *aggGroup) (sqltypes.Value, error) {
+				v, err := inner(g)
+				if err != nil {
+					return sqltypes.Value{}, err
+				}
+				return unaryValue(op, v)
 			}
-			return eval(&parser.UnaryExpr{Op: x.Op, E: &parser.Literal{Val: v}}, &evalCtx{})
 		}
 	}
-	if g.first == nil {
-		return sqltypes.Null(), nil
+	f := compileValue(e, schema, compileEnv{})
+	return func(g *aggGroup) (sqltypes.Value, error) {
+		if g.first == nil {
+			return sqltypes.Null(), nil
+		}
+		return f(g.first)
 	}
-	return eval(e, &evalCtx{schema: a.schema, row: g.first})
+}
+
+// binaryGroup combines two group results: AND/OR in three-valued logic,
+// comparisons with implicit conversion, any other operator as arithmetic.
+func binaryGroup(op string, l, r groupFn) groupFn {
+	var kernel func(l, r sqltypes.Value) (sqltypes.Value, error)
+	switch op {
+	case "AND", "OR":
+		and := op == "AND"
+		kernel = func(l, r sqltypes.Value) (sqltypes.Value, error) {
+			lt, rt := truthOfValue(l), truthOfValue(r)
+			if and {
+				return andTruth(lt, rt).value(), nil
+			}
+			return orTruth(lt, rt).value(), nil
+		}
+	case "=", "<>", "<", "<=", ">", ">=":
+		cmp := newCmpOp(op)
+		kernel = func(l, r sqltypes.Value) (sqltypes.Value, error) { return compareValues(cmp, l, r).value(), nil }
+	default:
+		kernel = func(l, r sqltypes.Value) (sqltypes.Value, error) { return evalArith(op, l, r) }
+	}
+	return func(g *aggGroup) (sqltypes.Value, error) {
+		lv, err := l(g)
+		if err != nil {
+			return sqltypes.Value{}, err
+		}
+		rv, err := r(g)
+		if err != nil {
+			return sqltypes.Value{}, err
+		}
+		return kernel(lv, rv)
+	}
 }
 
 func exprHasAggregate(e parser.Expr) bool {
@@ -233,12 +274,12 @@ type aggAcc struct {
 	typeErr error
 }
 
-func (acc *aggAcc) add(fc *parser.FuncCall, ec *evalCtx) {
+func (acc *aggAcc) add(fc *parser.FuncCall, arg evalFn, r Row) {
 	acc.rows++
 	if fc.Star || acc.evalErr != nil {
 		return
 	}
-	v, err := eval(fc.Args[0], ec)
+	v, err := arg(r)
 	if err != nil {
 		acc.evalErr = err
 		return

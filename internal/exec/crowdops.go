@@ -259,25 +259,27 @@ func cachedEqualResolver(ctx *Ctx) crowdEqualFn {
 	}
 }
 
-// crowdEqualCall is one CROWDEQUAL occurrence in an expression.
+// crowdEqualCall is one CROWDEQUAL occurrence in an expression, its
+// operands compiled over the filter's schema.
 type crowdEqualCall struct {
-	question parser.Expr // nil = default question
-	l, r     parser.Expr
+	question evalFn // nil = default question
+	l, r     evalFn
 }
 
-func collectCrowdEqualCalls(e parser.Expr) []crowdEqualCall {
+func collectCrowdEqualCalls(e parser.Expr, schema []plan.Col) []crowdEqualCall {
 	var calls []crowdEqualCall
+	compile := func(x parser.Expr) evalFn { return compileValue(x, schema, compileEnv{}) }
 	parser.WalkExprs(e, func(x parser.Expr) {
 		switch n := x.(type) {
 		case *parser.BinaryExpr:
 			if n.Op == "~=" {
-				calls = append(calls, crowdEqualCall{l: n.L, r: n.R})
+				calls = append(calls, crowdEqualCall{l: compile(n.L), r: compile(n.R)})
 			}
 		case *parser.FuncCall:
 			if n.Name == "CROWDEQUAL" {
-				c := crowdEqualCall{l: n.Args[0], r: n.Args[1]}
+				c := crowdEqualCall{l: compile(n.Args[0]), r: compile(n.Args[1])}
 				if len(n.Args) == 3 {
-					c.question = n.Args[2]
+					c.question = compile(n.Args[2])
 				}
 				calls = append(calls, c)
 			}
@@ -319,9 +321,8 @@ type eqDispatch struct {
 // order; evaluating a resolved row touches only the in-memory cache, so
 // interleaving evaluations between collections is scheduling-invisible.
 type equalStream struct {
-	cond   parser.Expr
-	schema []plan.Col
-	rows   []Row
+	cond predFn // the filter condition, crowd resolver attached
+	rows []Row
 	// rowKeys[i] lists the pair keys row i needs that were unresolved at
 	// claim time; the row is ready once all are in resolved (or after
 	// finalization, when eval-time retries handle the leftovers).
@@ -340,13 +341,13 @@ type equalStream struct {
 // newEqualStream claims and dispatches every needed comparison (the
 // submit-all-before-collect half of the CrowdCompare batching); quorum
 // collection happens lazily in nextBatch.
-func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (*equalStream, error) {
-	es := &equalStream{cond: cond, schema: schema, rows: rows, resolved: map[string]bool{}}
+func newEqualStream(ctx *Ctx, condExpr parser.Expr, cond predFn, rows []Row, schema []plan.Col) (*equalStream, error) {
+	es := &equalStream{cond: cond, rows: rows, resolved: map[string]bool{}}
 	if ctx.Tasks == nil || ctx.Cache == nil {
 		es.finalized = true
 		return es, nil
 	}
-	calls := collectCrowdEqualCalls(cond)
+	calls := collectCrowdEqualCalls(condExpr, schema)
 	if len(calls) == 0 {
 		es.finalized = true
 		return es, nil
@@ -355,14 +356,13 @@ func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (
 	seen := map[string]bool{}
 	var todo []pendingPair
 	for i, row := range rows {
-		ectx := &evalCtx{schema: schema, row: row}
 		for _, call := range calls {
-			lv, err := eval(call.l, ectx)
+			lv, err := call.l(row)
 			if err != nil {
 				es.abandonLeaders()
 				return nil, err
 			}
-			rv, err := eval(call.r, ectx)
+			rv, err := call.r(row)
 			if err != nil {
 				es.abandonLeaders()
 				return nil, err
@@ -372,7 +372,7 @@ func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (
 			}
 			question := ""
 			if call.question != nil {
-				qv, err := eval(call.question, ectx)
+				qv, err := call.question(row)
 				if err != nil {
 					es.abandonLeaders()
 					return nil, err
@@ -477,11 +477,11 @@ func (es *equalStream) nextBatch(ctx *Ctx) (*Batch, error) {
 		for es.nextRow < len(es.rows) && len(es.buf.Rows) < limit && es.rowReady(es.nextRow) {
 			row := es.rows[es.nextRow]
 			es.nextRow++
-			v, err := eval(es.cond, &evalCtx{schema: es.schema, row: row, crowdEqual: cachedEqualResolver(ctx), exec: ctx})
+			keep, err := es.cond.keep(row)
 			if err != nil {
 				return nil, err
 			}
-			if b, unknown := boolOf(v); !unknown && b {
+			if keep {
 				es.buf.Rows = append(es.buf.Rows, row)
 			}
 		}
@@ -681,8 +681,9 @@ func newCrowdSorter(ctx *Ctx, rows []Row, schema []plan.Col, key parser.OrderIte
 	// fail to resolve (e.g. the paper's free variable `p`) fall back to the
 	// row's first column rendering.
 	labels := make([]string, len(rows))
+	label := compileValue(fc.Args[0], schema, compileEnv{})
 	for i, r := range rows {
-		v, err := eval(fc.Args[0], &evalCtx{schema: schema, row: r})
+		v, err := label(r)
 		if err != nil || v.IsUnknown() {
 			labels[i] = rows[i][0].String()
 		} else {
@@ -973,12 +974,15 @@ func (s *crowdProbeScan) Open(ctx *Ctx) error {
 	var rowIDs []storage.RowID
 	// Pre-filter on conjuncts that do not touch this table's crowd columns:
 	// predicate push-down shrinks the probe set (experiment E10's win).
-	preFilter, postNeeded := splitCrowdFilter(s.node)
+	schema := s.node.Schema()
+	preExpr, postNeeded := splitCrowdFilter(s.node)
+	preFilter := compilePred(preExpr, schema, compileEnv{})
+	filter := compilePred(s.node.Filter, schema, compileEnv{})
 	scanned := int64(0)
 	for i, row := range stored {
 		ctx.Stats.RowsScanned++
 		scanned++
-		keep, err := rowMatches(preFilter, row, s.node.Schema())
+		keep, err := preFilter.keep(row)
 		if err != nil {
 			return err
 		}
@@ -1009,7 +1013,7 @@ func (s *crowdProbeScan) Open(ctx *Ctx) error {
 
 	// CrowdProbe phase 2: solicit new tuples for CROWD tables (open world).
 	if ctx.Tasks != nil && s.node.Table.Crowd {
-		acquired, err := solicitTuples(ctx, s.node, rows)
+		acquired, err := solicitTuples(ctx, s.node, filter, rows)
 		if err != nil {
 			return err
 		}
@@ -1022,7 +1026,7 @@ func (s *crowdProbeScan) Open(ctx *Ctx) error {
 	for _, row := range rows {
 		keep := true
 		if postNeeded {
-			keep, err = rowMatches(s.node.Filter, row, s.node.Schema())
+			keep, err = filter.keep(row)
 			if err != nil {
 				return err
 			}
@@ -1227,14 +1231,15 @@ func probeCNullsOnce(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.Row
 }
 
 // solicitTuples asks the crowd for new tuples of a CROWD table, bounded by
-// probe keys (expected cardinality) and/or the pushed stop-after.
-func solicitTuples(ctx *Ctx, node *plan.Scan, existing []Row) ([]Row, error) {
+// probe keys (expected cardinality) and/or the pushed stop-after; filter
+// is node.Filter compiled.
+func solicitTuples(ctx *Ctx, node *plan.Scan, filter predFn, existing []Row) ([]Row, error) {
 	t := node.Table
 	want := -1
 	if len(node.ProbeKeys) > 0 {
 		matching := 0
 		for _, row := range existing {
-			ok, err := rowMatches(node.Filter, row, node.Schema())
+			ok, err := filter.keep(row)
 			if err != nil {
 				return nil, err
 			}
@@ -1387,8 +1392,9 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 		return err
 	}
 	keys := make([]sqltypes.Value, len(leftRows))
+	leftKey := compileValue(j.leftKey, j.left.Schema(), compileEnv{})
 	for i, r := range leftRows {
-		v, err := eval(j.leftKey, &evalCtx{schema: j.left.Schema(), row: r})
+		v, err := leftKey(r)
 		if err != nil {
 			return err
 		}
@@ -1405,10 +1411,11 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	}
 	var innerRows []Row
 	var innerIDs []storage.RowID
+	innerFilter := compilePred(j.scan.Filter, j.scan.Schema(), compileEnv{})
 	for i, row := range stored {
 		id := ids[i]
 		ctx.Stats.RowsScanned++
-		keep, err := rowMatches(j.scan.Filter, row, j.scan.Schema())
+		keep, err := innerFilter.keep(row)
 		if err != nil {
 			return err
 		}
@@ -1527,7 +1534,7 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 					}
 					totalAccepted += int64(len(accepted))
 					for _, row := range accepted {
-						ok, err := rowMatches(j.scan.Filter, row, j.scan.Schema())
+						ok, err := innerFilter.keep(row)
 						if err != nil {
 							drainFrom(k + 1)
 							return err
@@ -1545,13 +1552,14 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	}
 
 	// Emit joined rows.
+	residual := compilePred(j.residual, j.Schema(), compileEnv{})
 	for i, l := range leftRows {
 		if keys[i].IsUnknown() {
 			continue
 		}
 		for _, r := range matches[storage.IndexKey(keys[i])] {
 			combined := append(append(Row{}, l...), r...)
-			ok, err := rowMatches(j.residual, combined, j.Schema())
+			ok, err := residual.keep(combined)
 			if err != nil {
 				return err
 			}

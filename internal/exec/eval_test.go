@@ -115,17 +115,17 @@ func TestEvalColumnRef(t *testing.T) {
 	schema := []plan.Col{{Table: "t", Name: "x", Type: sqltypes.TypeInt}}
 	row := Row{sqltypes.NewInt(41)}
 	e, _ := parser.ParseExpr("x + 1")
-	v, err := EvalRow(e, row, schema)
+	v, err := CompileExpr(e, schema)(row)
 	if err != nil || v.Int() != 42 {
 		t.Errorf("column eval: %v %v", v, err)
 	}
 	e, _ = parser.ParseExpr("t.x")
-	v, err = EvalRow(e, row, schema)
+	v, err = CompileExpr(e, schema)(row)
 	if err != nil || v.Int() != 41 {
 		t.Errorf("qualified eval: %v %v", v, err)
 	}
 	e, _ = parser.ParseExpr("zzz")
-	if _, err = EvalRow(e, row, schema); err == nil {
+	if _, err = CompileExpr(e, schema)(row); err == nil {
 		t.Error("unknown column must fail")
 	}
 }
@@ -174,6 +174,36 @@ func TestLikeEdgeCases(t *testing.T) {
 	for _, c := range cases {
 		if got := likeMatch(c.s, c.p); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v", c.s, c.p, got)
+		}
+	}
+}
+
+// TestEvalModuloFloatDivisorBelowOne: a FLOAT modulo truncates both
+// operands to integers, so a divisor in (-1, 1) is a modulo by zero and
+// is NULL, like `% 0` (it used to panic with an integer divide by zero).
+func TestEvalModuloFloatDivisorBelowOne(t *testing.T) {
+	for _, expr := range []string{"5.0 % 0.5", "7 % 0.5", "7 % -0.25", "1.5 % 0"} {
+		if v := evalStr(t, expr); !v.IsNull() {
+			t.Errorf("%s = %v, want NULL", expr, v)
+		}
+	}
+	if v := evalStr(t, "7.5 % 2"); v.String() != "1" {
+		t.Errorf("7.5 %% 2 = %v, want 1", v)
+	}
+}
+
+// TestEvalSubstrNegativeLength: a negative length yields the empty
+// string (it used to panic slicing out of range).
+func TestEvalSubstrNegativeLength(t *testing.T) {
+	cases := map[string]string{
+		"SUBSTR('abc', 2, -1)": "",
+		"SUBSTR('abc', 1, -5)": "",
+		"SUBSTR('abc', 2, 0)":  "",
+		"SUBSTR('abc', 2, 1)":  "b",
+	}
+	for expr, want := range cases {
+		if v := evalStr(t, expr); v.Kind() != sqltypes.KindString || v.Str() != want {
+			t.Errorf("%s = %v, want %q", expr, v, want)
 		}
 	}
 }

@@ -125,9 +125,10 @@ func (s *indexScan) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
+	filter := compilePred(s.node.Filter, s.node.Schema(), compileEnv{})
 	for _, row := range candidates {
 		ctx.Stats.RowsScanned++
-		keep, err := rowMatches(s.node.Filter, row, s.node.Schema())
+		keep, err := filter.keep(row)
 		if err != nil {
 			return err
 		}

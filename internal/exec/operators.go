@@ -1,4 +1,10 @@
-// Package exec implements CrowdDB's vectorized streaming executor.
+// Package exec implements CrowdDB's vectorized streaming executor: the
+// classic relational operators plus the paper's three crowd operators
+// (§3.2.1) — CrowdProbe (sourcing missing values and new tuples),
+// CrowdJoin (index nested-loop join that solicits matching tuples), and
+// CrowdCompare (crowd-answered CROWDEQUAL predicates and CROWDORDER
+// sorting). Crowd answers are always memorized in the store so a repeated
+// query never re-asks the crowd.
 //
 // # Operator contract
 //
@@ -52,8 +58,18 @@
 // instead of letting them fan out full shard scans whose rows would be
 // discarded.
 //
-// Legacy row-at-a-time operators can ride in the pipeline through
-// AdaptRowOperator during migrations.
+// # Expressions
+//
+// Every operator compiles the expressions it evaluates once per Open
+// (compile.go): column references bind to ordinals of the operator's
+// input schema and each operator's kernel is chosen up front, so a row
+// costs a chain of closure calls, not a walk of the parser tree with a
+// by-name column lookup. Conditions compile to three-valued predicates
+// that build no Value per row. A compiled closure keeps no mutable state,
+// so one compiled predicate may be shared across goroutines: the parallel
+// scan's workers all run their scan's single compiled filter. Code that
+// runs on worker goroutines compiles without the crowd and subquery hooks
+// (compileEnv), which touch per-statement state.
 package exec
 
 import (
@@ -97,6 +113,7 @@ const DefaultParallelScanMinRows = 2048
 
 type seqScan struct {
 	node    *plan.Scan
+	filter  predFn // node.Filter, compiled at Open
 	rows    []Row
 	ids     []storage.RowID // lazy (stop-after) path only
 	pos     int
@@ -112,11 +129,12 @@ func (s *seqScan) Schema() []plan.Col { return s.node.Schema() }
 
 func (s *seqScan) Open(ctx *Ctx) error {
 	s.rows, s.ids, s.pos, s.out, s.scanned, s.stopped, s.par = nil, nil, 0, 0, 0, false, nil
+	s.filter = compilePred(s.node.Filter, s.node.Schema(), compileEnv{})
 	if parallelEligible(ctx, s.node) {
 		// Lazy fan-out: workers start at the first NextBatch, so an
 		// early stop that lands before any demand skips the scan work
 		// entirely.
-		s.par = newParallelScanRun(ctx, s.node)
+		s.par = newParallelScanRun(ctx, s.node, s.filter)
 		return nil
 	}
 	if s.node.StopAfter >= 0 {
@@ -199,7 +217,7 @@ func (s *seqScan) NextBatch(ctx *Ctx) (*Batch, error) {
 		}
 		ctx.Stats.RowsScanned++
 		s.scanned++
-		keep, err := rowMatches(s.node.Filter, row, s.node.Schema())
+		keep, err := s.filter.keep(row)
 		if err != nil {
 			return nil, err
 		}
@@ -267,7 +285,7 @@ type shardCursor struct {
 
 type parallelScanRun struct {
 	node    *plan.Scan
-	sch     []plan.Col
+	filter  predFn // shared read-only by every worker
 	at      int64
 	store   *storage.Store
 	started bool
@@ -282,11 +300,11 @@ type parallelScanRun struct {
 	maxBuf  atomic.Int64
 }
 
-func newParallelScanRun(ctx *Ctx, node *plan.Scan) *parallelScanRun {
+func newParallelScanRun(ctx *Ctx, node *plan.Scan, filter predFn) *parallelScanRun {
 	return &parallelScanRun{
 		node:   node,
-		sch:    node.Schema(), // resolved once; workers share it read-only
-		at:     ctx.snapTS(),  // one timestamp for every shard: a consistent cut
+		filter: filter,
+		at:     ctx.snapTS(), // one timestamp for every shard: a consistent cut
 		store:  ctx.Store,
 		stopCh: make(chan struct{}),
 	}
@@ -335,7 +353,7 @@ func (p *parallelScanRun) worker(shard int, ch chan shardChunk) {
 	var c shardChunk
 	for j, row := range rows {
 		c.scanned++
-		keep, err := rowMatches(p.node.Filter, row, p.sch)
+		keep, err := p.filter.keep(row)
 		if err != nil {
 			c.err = err
 			send(c)
@@ -436,7 +454,7 @@ type filterOp struct {
 	crowd   bool
 	stream  *equalStream // crowd mode: quorum-streaming CROWDEQUAL state
 	stopped bool
-	ec      evalCtx // bound at Open; ec.row changes per row
+	cond    predFn // node.Cond, compiled at Open
 	buf     Batch
 }
 
@@ -447,7 +465,8 @@ func (f *filterOp) Open(ctx *Ctx) error {
 		return err
 	}
 	f.stream, f.stopped = nil, false
-	f.ec = evalCtx{schema: f.Schema(), crowdEqual: cachedEqualResolver(ctx), exec: ctx}
+	schema := f.Schema()
+	f.cond = compilePred(f.node.Cond, schema, compileEnv{crowdEqual: cachedEqualResolver(ctx), exec: ctx})
 	if !f.crowd {
 		return nil
 	}
@@ -464,20 +483,19 @@ func (f *filterOp) Open(ctx *Ctx) error {
 	// exact: a row failing Pre fails Cond regardless of crowd verdicts.
 	if f.node.Pre != nil {
 		kept := buffered[:0]
-		pre := evalCtx{schema: f.ec.schema, exec: ctx}
+		pre := compilePred(f.node.Pre, schema, compileEnv{exec: ctx})
 		for _, r := range buffered {
-			pre.row = r
-			v, err := eval(f.node.Pre, &pre)
+			keep, err := pre.keep(r)
 			if err != nil {
 				return err
 			}
-			if b, unknown := boolOf(v); !unknown && b {
+			if keep {
 				kept = append(kept, r)
 			}
 		}
 		buffered = kept
 	}
-	stream, err := newEqualStream(ctx, f.node.Cond, buffered, f.ec.schema)
+	stream, err := newEqualStream(ctx, f.node.Cond, f.cond, buffered, schema)
 	if err != nil {
 		return err
 	}
@@ -507,12 +525,11 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		}
 		f.buf.reset()
 		for _, r := range b.Rows {
-			f.ec.row = r
-			v, err := eval(f.node.Cond, &f.ec)
+			keep, err := f.cond.keep(r)
 			if err != nil {
 				return nil, err
 			}
-			if keep, unknown := boolOf(v); !unknown && keep {
+			if keep {
 				f.buf.Rows = append(f.buf.Rows, r)
 			}
 		}
@@ -536,33 +553,13 @@ func (f *filterOp) bufferedRows() int64 {
 	return 0
 }
 
-// rowMatches evaluates a (crowd-free) predicate to a keep/drop decision.
-func rowMatches(filter parser.Expr, row Row, schema []plan.Col) (bool, error) {
-	return matchRow(filter, &evalCtx{schema: schema}, row)
-}
-
-// matchRow is rowMatches over a caller-bound evaluation context, for
-// operators that resolve their schema once per Open.
-func matchRow(filter parser.Expr, ec *evalCtx, row Row) (bool, error) {
-	if filter == nil {
-		return true, nil
-	}
-	ec.row = row
-	v, err := eval(filter, ec)
-	if err != nil {
-		return false, err
-	}
-	b, unknown := boolOf(v)
-	return !unknown && b, nil
-}
-
 // ---------------------------------------------------------------------------
 // Project
 
 type projectOp struct {
 	node  *plan.Project
 	input Operator
-	ec    evalCtx // bound at Open; ec.row changes per row
+	items []evalFn // node.Items, compiled at Open
 	buf   Batch
 }
 
@@ -572,7 +569,12 @@ func (p *projectOp) Open(ctx *Ctx) error {
 	if err := p.input.Open(ctx); err != nil {
 		return err
 	}
-	p.ec = evalCtx{schema: p.input.Schema(), crowdEqual: cachedEqualResolver(ctx), exec: ctx}
+	env := compileEnv{crowdEqual: cachedEqualResolver(ctx), exec: ctx}
+	schema := p.input.Schema()
+	p.items = make([]evalFn, len(p.node.Items))
+	for i, it := range p.node.Items {
+		p.items[i] = compileValue(it.Expr, schema, env)
+	}
 	return nil
 }
 
@@ -590,13 +592,12 @@ func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	// One value slab per batch; each output row is a capacity-capped
 	// window into it, so a consumer that appends to a row cannot spill
 	// into its neighbour.
-	w := len(p.node.Items)
+	w := len(p.items)
 	slab := make([]sqltypes.Value, len(b.Rows)*w)
 	for ri, r := range b.Rows {
 		out := Row(slab[ri*w : (ri+1)*w : (ri+1)*w])
-		p.ec.row = r
-		for i, it := range p.node.Items {
-			v, err := eval(it.Expr, &p.ec)
+		for i, item := range p.items {
+			v, err := item(r)
 			if err != nil {
 				return nil, err
 			}
@@ -625,8 +626,9 @@ type nlJoin struct {
 	cur       Row
 	rpos      int
 	matched   bool
-	on        evalCtx // over the combined schema, bound at Open
-	scratch   Row     // candidate pair under test
+	on        predFn // node.On over the combined schema, compiled at Open
+	width     int    // combined row width, for NULL-padding unmatched LEFT rows
+	scratch   Row    // candidate pair under test
 	buf       Batch
 }
 
@@ -645,7 +647,8 @@ func (j *nlJoin) Open(ctx *Ctx) error {
 	}
 	j.rightRows = rows
 	j.leftBatch, j.lpos, j.cur, j.rpos, j.matched = nil, 0, nil, 0, false
-	j.on = evalCtx{schema: j.node.Schema()}
+	schema := j.node.Schema()
+	j.on, j.width = compilePred(j.node.On, schema, compileEnv{}), len(schema)
 	return nil
 }
 
@@ -680,7 +683,7 @@ func (j *nlJoin) next(ctx *Ctx) (Row, error) {
 		for j.rpos < len(j.rightRows) {
 			r := j.rightRows[j.rpos]
 			j.rpos++
-			combined, ok, err := joinRow(j.node.On, &j.on, &j.scratch, j.cur, r)
+			combined, ok, err := joinRow(j.on, &j.scratch, j.cur, r)
 			if err != nil {
 				return nil, err
 			}
@@ -691,7 +694,7 @@ func (j *nlJoin) next(ctx *Ctx) (Row, error) {
 		}
 		// Right side exhausted for this left row.
 		if j.node.Type == parser.JoinLeft && !j.matched {
-			out := make(Row, len(j.on.schema))
+			out := make(Row, j.width)
 			copy(out, j.cur)
 			for i := len(j.cur); i < len(out); i++ {
 				out[i] = sqltypes.Null()
@@ -749,11 +752,12 @@ type hashJoin struct {
 	bkt   []Row
 	bpos  int
 
-	// Evaluation contexts bound at Open: the left and right key inputs
-	// and the residual over the combined schema.
-	lkey, rkey, res evalCtx
-	scratch         Row    // candidate pair under test
-	key             []byte // join key, rebuilt in place per row
+	// Compiled at Open: the key over each input and the residual over
+	// the combined schema.
+	lkey, rkey evalFn
+	res        predFn
+	scratch    Row    // candidate pair under test
+	key        []byte // join key, rebuilt in place per row
 
 	leftBatch *Batch
 	lpos      int
@@ -786,9 +790,9 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 	}
 	j.table = make(map[string][]Row, j.buildSizeHint())
 	j.built = 0
-	j.lkey = evalCtx{schema: j.left.Schema()}
-	j.rkey = evalCtx{schema: j.right.Schema()}
-	j.res = evalCtx{schema: j.node.Schema()}
+	j.lkey = compileValue(j.leftKey, j.left.Schema(), compileEnv{})
+	j.rkey = compileValue(j.rightKey, j.right.Schema(), compileEnv{})
+	j.res = compilePred(j.residual, j.node.Schema(), compileEnv{})
 	for {
 		b, err := j.right.NextBatch(ctx)
 		if err != nil {
@@ -798,8 +802,7 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 			break
 		}
 		for _, r := range b.Rows {
-			j.rkey.row = r
-			v, err := eval(j.rightKey, &j.rkey)
+			v, err := j.rkey(r)
 			if err != nil {
 				return err
 			}
@@ -838,7 +841,7 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 		for j.bpos < len(j.bkt) {
 			r := j.bkt[j.bpos]
 			j.bpos++
-			combined, ok, err := joinRow(j.residual, &j.res, &j.scratch, j.cur, r)
+			combined, ok, err := joinRow(j.res, &j.scratch, j.cur, r)
 			if err != nil {
 				return nil, err
 			}
@@ -850,8 +853,7 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 		if err != nil || l == nil {
 			return nil, err
 		}
-		j.lkey.row = l
-		v, err := eval(j.leftKey, &j.lkey)
+		v, err := j.lkey(l)
 		if err != nil {
 			return nil, err
 		}
@@ -897,9 +899,9 @@ func (j *hashJoin) bufferedRows() int64 { return j.built }
 // and returns the joined row (left columns, then right) when it passes.
 // The candidate is assembled in the operator's scratch row, so a rejected
 // pair allocates nothing and a kept one costs exactly one allocation.
-func joinRow(cond parser.Expr, ec *evalCtx, scratch *Row, l, r Row) (Row, bool, error) {
+func joinRow(cond predFn, scratch *Row, l, r Row) (Row, bool, error) {
 	*scratch = append(append((*scratch)[:0], l...), r...)
-	ok, err := matchRow(cond, ec, *scratch)
+	ok, err := cond.keep(*scratch)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -988,13 +990,20 @@ type sortEntry struct {
 // sortKeys evaluates the sort keys of one row into dst.
 type sortKeys struct {
 	keys []parser.OrderItem
-	ec   evalCtx
+	fns  []evalFn // keys[i].Expr, compiled
+}
+
+func newSortKeys(keys []parser.OrderItem, schema []plan.Col) *sortKeys {
+	k := &sortKeys{keys: keys, fns: make([]evalFn, len(keys))}
+	for i, key := range keys {
+		k.fns[i] = compileValue(key.Expr, schema, compileEnv{})
+	}
+	return k
 }
 
 func (k *sortKeys) eval(r Row, dst []sqltypes.Value) error {
-	k.ec.row = r
-	for i, key := range k.keys {
-		v, err := eval(key.Expr, &k.ec)
+	for i, fn := range k.fns {
+		v, err := fn(r)
 		if err != nil {
 			return err
 		}
@@ -1033,7 +1042,7 @@ func (s *sortOp) plainSort(ctx *Ctx) error {
 		return err
 	}
 	s.rows = rows
-	sk := sortKeys{keys: s.node.Keys, ec: evalCtx{schema: s.Schema()}}
+	sk := newSortKeys(s.node.Keys, s.Schema())
 	nk := len(sk.keys)
 	keys := make([]sqltypes.Value, len(rows)*nk)
 	ents := make([]sortEntry, len(rows))
@@ -1056,7 +1065,7 @@ func (s *sortOp) plainSort(ctx *Ctx) error {
 // Keys are evaluated into a reused scratch buffer; a row that does not
 // enter the heap costs no allocation.
 func (s *sortOp) topK(ctx *Ctx) error {
-	h := entryHeap{sk: &sortKeys{keys: s.node.Keys, ec: evalCtx{schema: s.Schema()}}}
+	h := entryHeap{sk: newSortKeys(s.node.Keys, s.Schema())}
 	scratch := make([]sqltypes.Value, len(s.node.Keys))
 	seq := 0
 	for {

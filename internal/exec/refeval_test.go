@@ -1,11 +1,12 @@
-// Package exec implements CrowdDB's physical operators: the classic
-// Volcano-style relational operators plus the paper's three crowd
-// operators (§3.2.1) — CrowdProbe (sourcing missing values and new
-// tuples), CrowdJoin (index nested-loop join that solicits matching
-// tuples), and CrowdCompare (crowd-answered CROWDEQUAL predicates and
-// CROWDORDER sorting). Crowd answers are always memorized in the store so
-// a repeated query never re-asks the crowd.
 package exec
+
+// refEval is the reference for the compiled evaluator: a copy of the
+// per-row tree-walking evaluator it replaced, with two panic fixes
+// applied (a FLOAT modulo whose divisor truncates to zero is NULL; a
+// negative SUBSTR length yields ''). It resolves every column by name per
+// row and re-dispatches on operator strings, independently of compile.go.
+// refLikeRunes is the old recursive LIKE matcher, exponential in the
+// number of '%'s; tests keep inputs short.
 
 import (
 	"fmt"
@@ -16,12 +17,8 @@ import (
 	"crowddb/internal/sqltypes"
 )
 
-// crowdEqualFn resolves one CROWDEQUAL question; the executor wires it to
-// the CrowdCompare machinery (cache + Task Manager).
-type crowdEqualFn func(question, left, right string) (sqltypes.Value, error)
-
-// evalCtx carries what expression evaluation needs.
-type evalCtx struct {
+// refEvalCtx carries what expression evaluation needs.
+type refEvalCtx struct {
 	schema []plan.Col
 	row    []sqltypes.Value
 	// crowdEqual is nil when no crowd is attached; CROWDEQUAL then
@@ -32,10 +29,10 @@ type evalCtx struct {
 	exec *Ctx
 }
 
-// eval computes an expression over one row with SQL three-valued logic.
+// refEval computes an expression over one row with SQL three-valued logic.
 // NULL and CNULL both behave as "unknown"; a CNULL that reaches the
 // evaluator was either not instantiable (no quorum) or not a crowd column.
-func eval(e parser.Expr, ctx *evalCtx) (sqltypes.Value, error) {
+func refEval(e parser.Expr, ctx *refEvalCtx) (sqltypes.Value, error) {
 	switch x := e.(type) {
 	case *parser.Literal:
 		return x.Val, nil
@@ -46,9 +43,9 @@ func eval(e parser.Expr, ctx *evalCtx) (sqltypes.Value, error) {
 		}
 		return ctx.row[i], nil
 	case *parser.BinaryExpr:
-		return evalBinary(x, ctx)
+		return refEvalBinary(x, ctx)
 	case *parser.UnaryExpr:
-		v, err := eval(x.E, ctx)
+		v, err := refEval(x.E, ctx)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
@@ -75,7 +72,7 @@ func eval(e parser.Expr, ctx *evalCtx) (sqltypes.Value, error) {
 		}
 		return sqltypes.Value{}, fmt.Errorf("exec: unknown unary op %q", x.Op)
 	case *parser.IsNullExpr:
-		v, err := eval(x.E, ctx)
+		v, err := refEval(x.E, ctx)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
@@ -90,7 +87,7 @@ func eval(e parser.Expr, ctx *evalCtx) (sqltypes.Value, error) {
 		}
 		return sqltypes.NewBool(match), nil
 	case *parser.InExpr:
-		v, err := eval(x.E, ctx)
+		v, err := refEval(x.E, ctx)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
@@ -109,7 +106,7 @@ func eval(e parser.Expr, ctx *evalCtx) (sqltypes.Value, error) {
 		} else {
 			list = make([]sqltypes.Value, len(x.List))
 			for i, item := range x.List {
-				iv, err := eval(item, ctx)
+				iv, err := refEval(item, ctx)
 				if err != nil {
 					return sqltypes.Value{}, err
 				}
@@ -131,15 +128,15 @@ func eval(e parser.Expr, ctx *evalCtx) (sqltypes.Value, error) {
 		}
 		return sqltypes.NewBool(x.Neg), nil
 	case *parser.BetweenExpr:
-		v, err := eval(x.E, ctx)
+		v, err := refEval(x.E, ctx)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
-		lo, err := eval(x.Lo, ctx)
+		lo, err := refEval(x.Lo, ctx)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
-		hi, err := eval(x.Hi, ctx)
+		hi, err := refEval(x.Hi, ctx)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
@@ -154,31 +151,31 @@ func eval(e parser.Expr, ctx *evalCtx) (sqltypes.Value, error) {
 		}
 		return sqltypes.NewBool(in), nil
 	case *parser.FuncCall:
-		return evalFunc(x, ctx)
+		return refEvalFunc(x, ctx)
 	}
 	return sqltypes.Value{}, fmt.Errorf("exec: cannot evaluate %T", e)
 }
 
-func evalBinary(x *parser.BinaryExpr, ctx *evalCtx) (sqltypes.Value, error) {
+func refEvalBinary(x *parser.BinaryExpr, ctx *refEvalCtx) (sqltypes.Value, error) {
 	switch x.Op {
 	case "AND", "OR":
-		l, err := eval(x.L, ctx)
+		l, err := refEval(x.L, ctx)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
-		r, err := eval(x.R, ctx)
+		r, err := refEval(x.R, ctx)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
-		return evalLogic(x.Op, l, r)
+		return refEvalLogic(x.Op, l, r)
 	case "~=":
-		return evalCrowdEqual(ctx, "", x.L, x.R)
+		return refEvalCrowdEqual(ctx, "", x.L, x.R)
 	}
-	l, err := eval(x.L, ctx)
+	l, err := refEval(x.L, ctx)
 	if err != nil {
 		return sqltypes.Value{}, err
 	}
-	r, err := eval(x.R, ctx)
+	r, err := refEval(x.R, ctx)
 	if err != nil {
 		return sqltypes.Value{}, err
 	}
@@ -217,22 +214,22 @@ func evalBinary(x *parser.BinaryExpr, ctx *evalCtx) (sqltypes.Value, error) {
 		if l.IsUnknown() || r.IsUnknown() {
 			return sqltypes.Null(), nil
 		}
-		return sqltypes.NewBool(likeMatch(l.String(), r.String())), nil
+		return sqltypes.NewBool(refLikeMatch(l.String(), r.String())), nil
 	case "||":
 		if l.IsUnknown() || r.IsUnknown() {
 			return sqltypes.Null(), nil
 		}
 		return sqltypes.NewString(l.String() + r.String()), nil
 	case "+", "-", "*", "/", "%":
-		return evalArith(x.Op, l, r)
+		return refEvalArith(x.Op, l, r)
 	}
 	return sqltypes.Value{}, fmt.Errorf("exec: unknown operator %q", x.Op)
 }
 
-// evalLogic implements SQL three-valued AND/OR.
-func evalLogic(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
-	lb, lu := boolOf(l)
-	rb, ru := boolOf(r)
+// refEvalLogic implements SQL three-valued AND/OR.
+func refEvalLogic(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
+	lb, lu := refBoolOf(l)
+	rb, ru := refBoolOf(r)
 	if op == "AND" {
 		switch {
 		case !lu && !lb, !ru && !rb:
@@ -253,8 +250,8 @@ func evalLogic(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
 	}
 }
 
-// boolOf returns (value, unknown).
-func boolOf(v sqltypes.Value) (bool, bool) {
+// refBoolOf returns (value, unknown).
+func refBoolOf(v sqltypes.Value) (bool, bool) {
 	if v.IsUnknown() {
 		return false, true
 	}
@@ -265,7 +262,7 @@ func boolOf(v sqltypes.Value) (bool, bool) {
 	return b.Bool(), false
 }
 
-func evalArith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
+func refEvalArith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
 	if l.IsUnknown() || r.IsUnknown() {
 		return sqltypes.Null(), nil
 	}
@@ -308,7 +305,7 @@ func evalArith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
 		}
 		return sqltypes.NewFloat(a / b), nil
 	case "%":
-		if b == 0 {
+		if int64(b) == 0 { // fix: a FLOAT divisor in (-1, 1) truncates to 0
 			return sqltypes.Null(), nil
 		}
 		return sqltypes.NewFloat(float64(int64(a) % int64(b))), nil
@@ -316,7 +313,7 @@ func evalArith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
 	return sqltypes.Value{}, fmt.Errorf("exec: unknown arithmetic op %q", op)
 }
 
-func evalFunc(x *parser.FuncCall, ctx *evalCtx) (sqltypes.Value, error) {
+func refEvalFunc(x *parser.FuncCall, ctx *refEvalCtx) (sqltypes.Value, error) {
 	if x.IsAggregate() {
 		return sqltypes.Value{}, fmt.Errorf("exec: aggregate %s outside aggregation context", x.Name)
 	}
@@ -324,19 +321,19 @@ func evalFunc(x *parser.FuncCall, ctx *evalCtx) (sqltypes.Value, error) {
 	case "CROWDEQUAL":
 		question := ""
 		if len(x.Args) == 3 {
-			qv, err := eval(x.Args[2], ctx)
+			qv, err := refEval(x.Args[2], ctx)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
 			question = qv.String()
 		}
-		return evalCrowdEqual(ctx, question, x.Args[0], x.Args[1])
+		return refEvalCrowdEqual(ctx, question, x.Args[0], x.Args[1])
 	case "CROWDORDER":
 		return sqltypes.Value{}, fmt.Errorf("exec: CROWDORDER is only valid in ORDER BY")
 	}
 	args := make([]sqltypes.Value, len(x.Args))
 	for i, a := range x.Args {
-		v, err := eval(a, ctx)
+		v, err := refEval(a, ctx)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
@@ -409,7 +406,7 @@ func evalFunc(x *parser.FuncCall, ctx *evalCtx) (sqltypes.Value, error) {
 		}
 		out := s[start-1:]
 		if len(args) > 2 && !args[2].IsUnknown() {
-			n := int(args[2].Int())
+			n := max(int(args[2].Int()), 0) // fix: a negative length yields ''
 			if n < len(out) {
 				out = out[:n]
 			}
@@ -419,13 +416,13 @@ func evalFunc(x *parser.FuncCall, ctx *evalCtx) (sqltypes.Value, error) {
 	return sqltypes.Value{}, fmt.Errorf("exec: unknown function %s", x.Name)
 }
 
-// evalCrowdEqual renders both sides and delegates to the crowd resolver.
-func evalCrowdEqual(ctx *evalCtx, question string, le, re parser.Expr) (sqltypes.Value, error) {
-	l, err := eval(le, ctx)
+// refEvalCrowdEqual renders both sides and delegates to the crowd resolver.
+func refEvalCrowdEqual(ctx *refEvalCtx, question string, le, re parser.Expr) (sqltypes.Value, error) {
+	l, err := refEval(le, ctx)
 	if err != nil {
 		return sqltypes.Value{}, err
 	}
-	r, err := eval(re, ctx)
+	r, err := refEval(re, ctx)
 	if err != nil {
 		return sqltypes.Value{}, err
 	}
@@ -442,28 +439,28 @@ func evalCrowdEqual(ctx *evalCtx, question string, le, re parser.Expr) (sqltypes
 	return ctx.crowdEqual(question, l.String(), r.String())
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single rune),
+// refLikeMatch implements SQL LIKE with % (any run) and _ (any single rune),
 // case-insensitively (matching H2's default collation behaviour for the
 // paper's examples).
-func likeMatch(s, pattern string) bool {
-	return likeRunes([]rune(strings.ToLower(s)), []rune(strings.ToLower(pattern)))
+func refLikeMatch(s, pattern string) bool {
+	return refLikeRunes([]rune(strings.ToLower(s)), []rune(strings.ToLower(pattern)))
 }
 
-func likeRunes(s, p []rune) bool {
+func refLikeRunes(s, p []rune) bool {
 	if len(p) == 0 {
 		return len(s) == 0
 	}
 	switch p[0] {
 	case '%':
 		for i := 0; i <= len(s); i++ {
-			if likeRunes(s[i:], p[1:]) {
+			if refLikeRunes(s[i:], p[1:]) {
 				return true
 			}
 		}
 		return false
 	case '_':
-		return len(s) > 0 && likeRunes(s[1:], p[1:])
+		return len(s) > 0 && refLikeRunes(s[1:], p[1:])
 	default:
-		return len(s) > 0 && s[0] == p[0] && likeRunes(s[1:], p[1:])
+		return len(s) > 0 && s[0] == p[0] && refLikeRunes(s[1:], p[1:])
 	}
 }

@@ -334,7 +334,7 @@ func (h *harness) refAggregate(t *testing.T, sql string) ([]Row, error) {
 	for _, r := range input {
 		var kb strings.Builder
 		for _, g := range agg.GroupBy {
-			v, err := eval(g, &evalCtx{schema: schema, row: r})
+			v, err := refEval(g, &refEvalCtx{schema: schema, row: r})
 			if err != nil {
 				return nil, err
 			}
@@ -358,7 +358,7 @@ func (h *harness) refAggregate(t *testing.T, sql string) ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			if b, unknown := boolOf(hv); unknown || !b {
+			if b, unknown := refBoolOf(hv); unknown || !b {
 				continue
 			}
 		}
@@ -394,12 +394,12 @@ func refEvalAggExpr(e parser.Expr, rows []Row, schema []plan.Col) (sqltypes.Valu
 			}
 			switch x.Op {
 			case "AND", "OR":
-				return evalLogic(x.Op, l, r)
+				return refEvalLogic(x.Op, l, r)
 			case "=", "<>", "<", "<=", ">", ">=":
-				return evalBinary(&parser.BinaryExpr{Op: x.Op,
-					L: &parser.Literal{Val: l}, R: &parser.Literal{Val: r}}, &evalCtx{})
+				return refEvalBinary(&parser.BinaryExpr{Op: x.Op,
+					L: &parser.Literal{Val: l}, R: &parser.Literal{Val: r}}, &refEvalCtx{})
 			default:
-				return evalArith(x.Op, l, r)
+				return refEvalArith(x.Op, l, r)
 			}
 		}
 	case *parser.UnaryExpr:
@@ -408,13 +408,13 @@ func refEvalAggExpr(e parser.Expr, rows []Row, schema []plan.Col) (sqltypes.Valu
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			return eval(&parser.UnaryExpr{Op: x.Op, E: &parser.Literal{Val: v}}, &evalCtx{})
+			return refEval(&parser.UnaryExpr{Op: x.Op, E: &parser.Literal{Val: v}}, &refEvalCtx{})
 		}
 	}
 	if len(rows) == 0 {
 		return sqltypes.Null(), nil
 	}
-	return eval(e, &evalCtx{schema: schema, row: rows[0]})
+	return refEval(e, &refEvalCtx{schema: schema, row: rows[0]})
 }
 
 // refComputeAggregate computes one aggregate over buffered rows. Its
@@ -426,7 +426,7 @@ func refComputeAggregate(fc *parser.FuncCall, rows []Row, schema []plan.Col) (sq
 	}
 	var vals []sqltypes.Value
 	for _, r := range rows {
-		v, err := eval(fc.Args[0], &evalCtx{schema: schema, row: r})
+		v, err := refEval(fc.Args[0], &refEvalCtx{schema: schema, row: r})
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
